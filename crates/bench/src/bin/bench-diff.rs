@@ -4,18 +4,21 @@
 //! bench-diff old.json new.json              # exact gate (exit 1 on any drift for the worse)
 //! bench-diff old.json new.json --lat-permille 50
 //! bench-diff BENCH_figures.json fresh.json --append BENCH_figures.json
+//! bench-diff --host HOST_figures.json fresh_host.json   # host-heap ceiling
 //! ```
 //!
 //! Either side may be a `figures --json` array or a
 //! `BENCH_figures.json` self-profile; the shared metric set (series
 //! means, point counts, latency percentiles, event counts) is
 //! extracted from both and compared under per-metric permille
-//! budgets. Exit status: 0 = within budget, 1 = regression, 2 = bad
+//! budgets. With `--host`, both inputs are `figures --host-json`
+//! documents and every point of the first is a ceiling the second may
+//! not exceed. Exit status: 0 = within budget, 1 = regression, 2 = bad
 //! usage or unreadable input.
 
 use o1_bench::diff::{
-    append_trajectory, diff_metrics, full_suite_ms, metrics_from_value, today_utc, Thresholds,
-    TrajectoryEntry,
+    all_figures_ms, append_trajectory, diff_metrics, full_suite_ms, host_ceiling,
+    metrics_from_value, today_utc, DiffReport, Thresholds, TrajectoryEntry,
 };
 use o1_bench::jsonval;
 
@@ -27,6 +30,9 @@ Inputs may be `figures --json` arrays or BENCH_figures.json profiles.
   --mean-permille N    allowed worsening of a series mean (default 0)
   --lat-permille N     allowed worsening of a latency percentile (default 0)
   --count-permille N   allowed event/point count drift, either way (default 0)
+  --host               inputs are `figures --host-json` documents: fail if
+                       any host-measured point of <new.json> exceeds the
+                       same point of <old.json>, or is missing
   --append <path>      append a dated entry to <path>'s \"trajectory\"
   --date YYYY-MM-DD    date for that entry (default: today, UTC)
   --note <text>        note for that entry (default: gate verdict)
@@ -39,6 +45,7 @@ struct Cli {
     old: String,
     new: String,
     thr: Thresholds,
+    host: bool,
     append: Option<String>,
     date: Option<String>,
     note: Option<String>,
@@ -48,6 +55,7 @@ struct Cli {
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut paths: Vec<String> = Vec::new();
     let mut thr = Thresholds::default();
+    let mut host = false;
     let mut append = None;
     let mut date = None;
     let mut note = None;
@@ -73,6 +81,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--mean-permille" => thr.mean_permille = permille(args, &mut i, "--mean-permille")?,
             "--lat-permille" => thr.lat_permille = permille(args, &mut i, "--lat-permille")?,
             "--count-permille" => thr.count_permille = permille(args, &mut i, "--count-permille")?,
+            "--host" => host = true,
             "--append" => append = Some(value(args, &mut i, "--append")?),
             "--date" => date = Some(value(args, &mut i, "--date")?),
             "--note" => note = Some(value(args, &mut i, "--note")?),
@@ -84,10 +93,14 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     }
     let [old, new] = <[String; 2]>::try_from(paths)
         .map_err(|p| format!("expected exactly two input paths, got {}", p.len()))?;
+    if host && append.is_some() {
+        return Err("--append records the figure gate; it does not combine with --host".into());
+    }
     Ok(Some(Cli {
         old,
         new,
         thr,
+        host,
         append,
         date,
         note,
@@ -95,10 +108,44 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     }))
 }
 
-fn load_metrics(path: &str) -> Result<Vec<o1_bench::diff::FigMetrics>, String> {
+fn load(path: &str) -> Result<jsonval::Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let doc = jsonval::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
-    metrics_from_value(&doc).map_err(|e| format!("{path}: {e}"))
+    jsonval::parse(&text).map_err(|e| format!("parse {path}: {e}"))
+}
+
+fn load_metrics(path: &str) -> Result<Vec<o1_bench::diff::FigMetrics>, String> {
+    metrics_from_value(&load(path)?).map_err(|e| format!("{path}: {e}"))
+}
+
+fn print_report(report: &DiffReport, quiet: bool) {
+    if !quiet {
+        for n in &report.notes {
+            println!("note: {n}");
+        }
+    }
+    for r in &report.regressions {
+        println!("REGRESSION: {r}");
+    }
+}
+
+/// `--host`: the host-heap ceiling gate.
+fn run_host(cli: &Cli) -> ! {
+    let report = load(&cli.old).and_then(|ceiling| {
+        let new = load(&cli.new)?;
+        host_ceiling(&ceiling, &new).map_err(|e| format!("{} vs {}: {e}", cli.old, cli.new))
+    });
+    let report = report.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    print_report(&report, cli.quiet);
+    println!(
+        "bench-diff --host: {} points, {} regressions — {}",
+        report.comparisons,
+        report.regressions.len(),
+        if report.passed() { "within ceiling" } else { "REGRESSED" }
+    );
+    std::process::exit(if report.passed() { 0 } else { 1 });
 }
 
 fn main() {
@@ -111,6 +158,9 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if cli.host {
+        run_host(&cli);
+    }
 
     let (old, new) = match (load_metrics(&cli.old), load_metrics(&cli.new)) {
         (Ok(old), Ok(new)) => (old, new),
@@ -123,14 +173,7 @@ fn main() {
     };
 
     let report = diff_metrics(&old, &new, &cli.thr);
-    if !cli.quiet {
-        for n in &report.notes {
-            println!("note: {n}");
-        }
-    }
-    for r in &report.regressions {
-        println!("REGRESSION: {r}");
-    }
+    print_report(&report, cli.quiet);
     let verdict = if report.passed() { "within budget" } else { "REGRESSED" };
     println!(
         "bench-diff: {} figures, {} comparisons, {} regressions — {verdict}",
@@ -141,12 +184,12 @@ fn main() {
 
     if let Some(path) = &cli.append {
         // Wall clock over the comparable set (figures the reference
-        // run also has), from the candidate's self-profile — absent
-        // when the candidate is a raw figure array.
-        let suite_ms = std::fs::read_to_string(&cli.new)
-            .ok()
-            .and_then(|text| jsonval::parse(&text).ok())
-            .and_then(|doc| full_suite_ms(&doc, &old));
+        // run also has) and over every figure, from the candidate's
+        // self-profile — absent when the candidate is a raw figure
+        // array.
+        let doc = load(&cli.new).ok();
+        let suite_ms = doc.as_ref().and_then(|doc| full_suite_ms(doc, &old));
+        let all_ms = doc.as_ref().and_then(all_figures_ms);
         let entry = TrajectoryEntry {
             date: cli.date.clone().unwrap_or_else(today_utc),
             old: cli.old.clone(),
@@ -154,6 +197,7 @@ fn main() {
             comparisons: report.comparisons,
             regressions: report.regressions.len() as u64,
             full_suite_ms: suite_ms,
+            all_figures_ms: all_ms,
             note: cli.note.clone().unwrap_or_else(|| verdict.to_string()),
         };
         if let Err(e) = append_trajectory(path, &entry) {

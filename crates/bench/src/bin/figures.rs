@@ -8,6 +8,8 @@
 //! figures --repeat 3         # time each figure 3 times
 //! figures --fig fig1a        # one figure
 //! figures --json out.json    # also dump machine-readable series
+//! figures --json sim.json --host-json host.json
+//!                            # host-measured series in their own file
 //! figures --csv out_dir      # one CSV per figure
 //! figures --profile          # 1-thread vs N-thread timing comparison
 //! figures --latency          # per-operation tail-latency tables
@@ -27,7 +29,7 @@ use o1_bench::jsonval;
 use o1_bench::runner::{figure_fn, run_figures, RunReport, RunnerOptions, ALL_IDS};
 use o1_bench::{
     attribution_table_with, figure_extras, figures_to_json_pretty,
-    figures_to_json_pretty_with_extras, json, latency_table_with, Figure,
+    figures_to_json_pretty_with_extras, json, latency_table_with, split_host_series, Figure,
 };
 
 const USAGE: &str = "\
@@ -37,6 +39,9 @@ usage: figures [options]
   --threads <N>       worker threads (default: available cores)
   --repeat <K>        regenerate each figure K times for timing (default 1)
   --json <path>       write all series as pretty JSON
+  --host-json <path>  write the host-measured series (the simulator's own
+                      heap) to <path> as pretty JSON and leave them out
+                      of --json, which then holds simulated values only
   --csv <dir>         write one CSV per figure
   --profile           run the suite at 1 thread and at --threads, assert
                       byte-identical output, and record the speedup
@@ -73,6 +78,7 @@ struct Cli {
     threads: Option<usize>,
     repeat: usize,
     json_path: Option<String>,
+    host_json_path: Option<String>,
     csv_dir: Option<String>,
     profile: bool,
     trace_dir: Option<String>,
@@ -91,6 +97,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         threads: None,
         repeat: 1,
         json_path: None,
+        host_json_path: None,
         csv_dir: None,
         profile: false,
         trace_dir: None,
@@ -143,6 +150,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 cli.repeat = k;
             }
             "--json" => cli.json_path = Some(value(args, &mut i, "--json")?),
+            "--host-json" => cli.host_json_path = Some(value(args, &mut i, "--host-json")?),
             "--csv" => cli.csv_dir = Some(value(args, &mut i, "--csv")?),
             "--profile" => cli.profile = true,
             "--trace" => cli.trace_dir = Some(value(args, &mut i, "--trace")?),
@@ -478,15 +486,25 @@ fn main() {
         write_csvs(dir, &figures);
     }
 
-    if let Some(path) = &cli.json_path {
-        let json = if cli.attrib || cli.latency || cli.timeline_dir.is_some() {
-            figures_to_json_pretty_with_extras(&figures, &extras)
-        } else {
-            figures_to_json_pretty(&figures)
-        };
+    let (sim_figures, host_figures) = split_host_series(&figures);
+    let write_json = |path: &str, json: String| {
         let mut file = std::fs::File::create(path).expect("create json output");
         file.write_all(json.as_bytes()).expect("write json output");
         eprintln!("wrote {path}");
+    };
+    if let Some(path) = &cli.host_json_path {
+        write_json(path, figures_to_json_pretty(&host_figures));
+    }
+    if let Some(path) = &cli.json_path {
+        // The split keeps every figure in place, so `extras` still
+        // lines up index for index.
+        let figs = if cli.host_json_path.is_some() { &sim_figures } else { &figures };
+        let json = if cli.attrib || cli.latency || cli.timeline_dir.is_some() {
+            figures_to_json_pretty_with_extras(figs, &extras)
+        } else {
+            figures_to_json_pretty(figs)
+        };
+        write_json(path, json);
     }
 
     if cli.write_bench {

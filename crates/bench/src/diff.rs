@@ -461,6 +461,63 @@ pub fn diff_metrics(old: &[FigMetrics], new: &[FigMetrics], thr: &Thresholds) ->
     r
 }
 
+/// Every `(figure, series, x) → y` point of a figure array, keyed
+/// `"figure/series@x"`.
+fn figure_points(doc: &Value) -> Result<Vec<(String, f64)>, String> {
+    let figs = doc.as_arr().ok_or("document is not a figure array")?;
+    let mut points = Vec::new();
+    for fig in figs {
+        let id = need_str(fig, "id", "figure")?;
+        for s in fig.get("series").and_then(Value::as_arr).into_iter().flatten() {
+            let label = need_str(s, "label", "series")?;
+            for p in s.get("points").and_then(Value::as_arr).into_iter().flatten() {
+                let (x, y) = match p.as_arr() {
+                    Some([x, y]) => (x.as_u64(), y.as_f64()),
+                    _ => (None, None),
+                };
+                let (Some(x), Some(y)) = (x, y) else {
+                    return Err(format!("{id}/{label}: point is not an [x, y] number pair"));
+                };
+                points.push((format!("{id}/{label}@{x}"), y));
+            }
+        }
+    }
+    Ok(points)
+}
+
+/// Gate host-measured series (a `figures --host-json` document)
+/// against a committed ceiling (`HOST_figures.json`). The simulator's
+/// own heap may stay level or shrink, never grow: every ceiling point
+/// must reappear in `new` with a y no larger. A fall is a note, and so
+/// is a point only `new` has (coverage may grow, as in
+/// [`diff_metrics`]).
+pub fn host_ceiling(ceiling: &Value, new: &Value) -> Result<DiffReport, String> {
+    let old = figure_points(ceiling)?;
+    let new = figure_points(new)?;
+    let mut r = DiffReport::default();
+    for (key, o) in &old {
+        r.comparisons += 1;
+        match new.iter().find(|(k, _)| k == key) {
+            None => r.regressions.push(format!("{key}: point missing from new run")),
+            Some(&(_, n)) if n > *o => r.regressions.push(format!(
+                "{key}: host value rose {o} -> {n} ({:+}‰)",
+                permille_change(*o, n)
+            )),
+            Some(&(_, n)) if n < *o => r.notes.push(format!(
+                "{key}: host value fell {o} -> {n} ({:+}‰)",
+                permille_change(*o, n)
+            )),
+            Some(_) => {}
+        }
+    }
+    for (key, _) in &new {
+        if !old.iter().any(|(k, _)| k == key) {
+            r.notes.push(format!("{key}: new point (not in the ceiling)"));
+        }
+    }
+    Ok(r)
+}
+
 /// One dated entry of the perf trajectory kept in
 /// `BENCH_figures.json`.
 #[derive(Clone, Debug)]
@@ -479,6 +536,9 @@ pub struct TrajectoryEntry {
     /// *comparable* figure set — see [`full_suite_ms`]. `None` when
     /// the candidate document carries no wall-clock samples.
     pub full_suite_ms: Option<f64>,
+    /// Wall-clock milliseconds of the candidate run over *every*
+    /// figure it ran — see [`all_figures_ms`].
+    pub all_figures_ms: Option<f64>,
     /// Free-form note.
     pub note: String,
 }
@@ -492,8 +552,13 @@ impl TrajectoryEntry {
             ("comparisons".into(), Value::num_u64(self.comparisons)),
             ("regressions".into(), Value::num_u64(self.regressions)),
         ];
-        if let Some(ms) = self.full_suite_ms {
-            members.push(("full_suite_ms".into(), Value::num_f64(ms)));
+        for (key, ms) in [
+            ("full_suite_ms", self.full_suite_ms),
+            ("all_figures_ms", self.all_figures_ms),
+        ] {
+            if let Some(ms) = ms {
+                members.push((key.into(), Value::num_f64(ms)));
+            }
         }
         members.push(("note".into(), Value::Str(self.note.clone())));
         Value::Obj(members)
@@ -510,12 +575,26 @@ impl TrajectoryEntry {
 /// `doc` is not a bench self-profile (e.g. a `figures --json` array)
 /// or holds no samples for any comparable figure.
 pub fn full_suite_ms(doc: &Value, old: &[FigMetrics]) -> Option<f64> {
+    min_wall_sum_ms(doc, |id| old.iter().any(|f| f.id == id))
+}
+
+/// Whole-suite wall clock of a candidate self-profile: like
+/// [`full_suite_ms`] but over every figure the candidate ran, new
+/// figures included, so the history shows what a full regeneration
+/// costs today.
+pub fn all_figures_ms(doc: &Value) -> Option<f64> {
+    min_wall_sum_ms(doc, |_| true)
+}
+
+/// Sum over the figures `keep` selects of each one's fastest
+/// wall-clock sample across all runs and repeats.
+fn min_wall_sum_ms(doc: &Value, keep: impl Fn(&str) -> bool) -> Option<f64> {
     let runs = doc.get("runs")?.as_arr()?;
     let mut best: Vec<(&str, f64)> = Vec::new();
     for run in runs {
         for fig in run.get("figures").and_then(Value::as_arr).into_iter().flatten() {
             let Some(id) = fig.get("id").and_then(Value::as_str) else { continue };
-            if !old.iter().any(|f| f.id == id) {
+            if !keep(id) {
                 continue;
             }
             for w in fig.get("wall_ms").and_then(Value::as_arr).into_iter().flatten() {
@@ -747,6 +826,7 @@ mod tests {
             comparisons: 42,
             regressions: 0,
             full_suite_ms: Some(123.456),
+            all_figures_ms: Some(456.5),
             note: "unit test".into(),
         };
         append_trajectory(path, &entry).unwrap();
@@ -764,6 +844,7 @@ mod tests {
             Some(123.456),
             "wall clock is a structured member, not note prose: {text}"
         );
+        assert_eq!(traj[1].get("all_figures_ms").unwrap().as_f64(), Some(456.5));
     }
 
     #[test]
@@ -786,6 +867,40 @@ mod tests {
         assert_eq!(full_suite_ms(&parse("[]").unwrap(), &old), None);
         // No comparable figure ⇒ no number (not 0.0).
         assert_eq!(full_suite_ms(&doc, &[]), None);
+        // The all-figures number counts the new figure too.
+        assert_eq!(all_figures_ms(&doc), Some(103.0));
+        assert_eq!(all_figures_ms(&parse("[]").unwrap()), None);
+    }
+
+    #[test]
+    fn host_ceiling_allows_falls_and_rejects_rises() {
+        let doc = |ys: &[f64]| {
+            let pts: Vec<String> = ys
+                .iter()
+                .enumerate()
+                .map(|(x, y)| format!("[{}, {y:?}]", x + 1))
+                .collect();
+            parse(&format!(
+                "[{{\"id\": \"f\", \"series\": [{{\"label\": \"heap\", \"points\": [{}]}}]}}]",
+                pts.join(", ")
+            ))
+            .unwrap()
+        };
+        let ceiling = doc(&[100.0, 200.0]);
+        let same = host_ceiling(&ceiling, &doc(&[100.0, 200.0])).unwrap();
+        assert!(same.passed() && same.notes.is_empty());
+        assert_eq!(same.comparisons, 2);
+        let fell = host_ceiling(&ceiling, &doc(&[60.0, 200.0])).unwrap();
+        assert!(fell.passed());
+        assert_eq!(fell.notes.len(), 1, "{:?}", fell.notes);
+        let rose = host_ceiling(&ceiling, &doc(&[100.0, 200.5])).unwrap();
+        assert_eq!(rose.regressions.len(), 1, "{:?}", rose.regressions);
+        assert!(rose.regressions[0].contains("f/heap@2"));
+        let lost = host_ceiling(&ceiling, &doc(&[100.0])).unwrap();
+        assert_eq!(lost.regressions.len(), 1, "{:?}", lost.regressions);
+        let grew = host_ceiling(&ceiling, &doc(&[100.0, 200.0, 5.0])).unwrap();
+        assert!(grew.passed() && grew.notes.len() == 1);
+        assert!(host_ceiling(&ceiling, &parse("{}").unwrap()).is_err());
     }
 
     #[test]

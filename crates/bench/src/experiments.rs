@@ -1354,9 +1354,9 @@ pub fn fig_hostmem() -> Figure {
         run();
         o1_obs::hostmem::snapshot().peak_bytes.saturating_sub(live0) as f64
     }
-    let mut s_base = Series::new("baseline (per-page kernel)");
-    let mut s_pt = Series::new("fom page tables");
-    let mut s_ranges = Series::new("fom extent ranges");
+    let mut s_base = Series::host_measured("baseline (per-page kernel)");
+    let mut s_pt = Series::host_measured("fom page tables");
+    let mut s_ranges = Series::host_measured("fom extent ranges");
     for mib in HOSTMEM_SIZES_MIB {
         let bytes = mib << 20;
         s_base.push(
@@ -1502,7 +1502,7 @@ pub fn fig_service() -> Figure {
     // kernel's host heap tracks the ≤SERVICE_LIVE_CAP live tenants,
     // not the ever-growing total streamed through.
     fn gauge_series(label: &str, run: impl FnOnce(&mut Series)) -> Series {
-        let mut s = Series::new(label);
+        let mut s = Series::host_measured(label);
         run(&mut s);
         s
     }

@@ -33,6 +33,14 @@
 //! ]
 //! ```
 //!
+//! Series whose y values measure the simulator's own host heap
+//! ([`Series::host`](crate::Series::host)) can be split off with
+//! `--host-json <path>`: they go to `<path>` as a v1 array holding
+//! only the figures that have such series, and the `--json` document
+//! keeps every figure, in order, without them. The simulated half is
+//! what `GOLDEN_figures.json` freezes; the host half is gated against
+//! the `HOST_figures.json` ceiling (`bench-diff --host`).
+//!
 //! A traced run (`--attrib` and/or `--latency`) upgrades each figure
 //! object that has a trace to **schema version 2** by appending, after
 //! `"series"`:

@@ -26,4 +26,4 @@ pub use latency::{
     latency_table, latency_table_with, FigureExtras,
 };
 pub use runner::{run_figures, RunnerOptions};
-pub use series::{figures_to_json_pretty, Figure, Series};
+pub use series::{figures_to_json_pretty, split_host_series, Figure, Series};

@@ -9,14 +9,29 @@ pub struct Series {
     pub label: String,
     /// (x, y) points in x order.
     pub points: Vec<(u64, f64)>,
+    /// The y values measure the simulator's own host heap, not the
+    /// simulated system. They are deterministic, but a host-side
+    /// optimisation may lower them without any simulated change, so
+    /// they are gated against a ceiling rather than byte-frozen (see
+    /// [`split_host_series`]).
+    pub host: bool,
 }
 
 impl Series {
-    /// Build a series.
+    /// Build a series of simulated values.
     pub fn new(label: impl Into<String>) -> Series {
         Series {
             label: label.into(),
             points: Vec::new(),
+            host: false,
+        }
+    }
+
+    /// Build a host-measured series (see the `host` field).
+    pub fn host_measured(label: impl Into<String>) -> Series {
+        Series {
+            host: true,
+            ..Series::new(label)
         }
     }
 
@@ -203,6 +218,26 @@ pub(crate) fn write_figures_pretty(
     out
 }
 
+/// Split figures into their simulated and host-measured halves: the
+/// first keeps every figure, in order, with its host series removed;
+/// the second keeps only the figures that have host series, with only
+/// those. `GOLDEN_figures.json` pins the first byte for byte and
+/// `HOST_figures.json` the second as a ceiling each point may not
+/// exceed.
+pub fn split_host_series(figures: &[Figure]) -> (Vec<Figure>, Vec<Figure>) {
+    let keep = |f: &Figure, host: bool| Figure {
+        series: f.series.iter().filter(|s| s.host == host).cloned().collect(),
+        ..f.clone()
+    };
+    let sim = figures.iter().map(|f| keep(f, false)).collect();
+    let host = figures
+        .iter()
+        .filter(|f| f.series.iter().any(|s| s.host))
+        .map(|f| keep(f, true))
+        .collect();
+    (sim, host)
+}
+
 impl Figure {
     /// Render as an aligned text table (x column + one column per
     /// series), the format the `figures` binary prints.
@@ -300,5 +335,27 @@ mod tests {
         assert!(a.contains("[8, 2.5]"));
         assert!(a.ends_with("]\n"));
         assert_eq!(figures_to_json_pretty(&[]), "[]\n");
+    }
+
+    #[test]
+    fn host_series_split_off_in_order() {
+        let mut a = Figure::new("a", "t", "x", "y");
+        a.series.push(Series::new("sim1"));
+        a.series.push(Series::host_measured("host1"));
+        a.series.push(Series::new("sim2"));
+        let mut b = Figure::new("b", "t", "x", "y");
+        b.series.push(Series::new("sim3"));
+        let mut c = Figure::new("c", "t", "x", "y");
+        c.series.push(Series::host_measured("host2"));
+        let (sim, host) = split_host_series(&[a, b, c]);
+        let labels = |figs: &[Figure]| -> Vec<Vec<String>> {
+            figs.iter()
+                .map(|f| f.series.iter().map(|s| s.label.clone()).collect())
+                .collect()
+        };
+        assert_eq!(sim.iter().map(|f| f.id.as_str()).collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(labels(&sim), [vec!["sim1", "sim2"], vec!["sim3"], vec![]]);
+        assert_eq!(host.iter().map(|f| f.id.as_str()).collect::<Vec<_>>(), ["a", "c"]);
+        assert_eq!(labels(&host), [vec!["host1"], vec!["host2"]]);
     }
 }

@@ -11,6 +11,23 @@
 //! page table. Leaf entries may live at level 0 (4 KiB), level 1
 //! (2 MiB huge) or level 2 (1 GiB huge).
 //!
+//! Each entry is stored as one 8-byte PTE word laid out like a hardware
+//! PTE, so a 512-entry node is exactly one 4 KiB page of host memory —
+//! the size [`PageTables::metadata_bytes`] charges the simulated
+//! hardware for:
+//!
+//! | bits  | meaning                                              |
+//! |-------|------------------------------------------------------|
+//! | 0     | present                                              |
+//! | 1     | table pointer (clear: leaf mapping)                  |
+//! | 2–7   | the six [`PteFlags`] bits (leaves only)              |
+//! | 12–63 | frame number, or the [`PtNodeId`] of a table pointer |
+//!
+//! [`Entry`] is the decoded view callers read. A node freed by
+//! [`PageTables::release`] keeps its (zeroed) buffer in its arena slot,
+//! and the next node created in that slot reuses it, so steady-state
+//! address-space churn allocates no host memory for page tables.
+//!
 //! The arena charges simulated costs for every entry write and node
 //! allocation, and bumps the corresponding [`PerfCounters`] fields, so
 //! experiments can report exactly how many per-page operations each
@@ -18,10 +35,10 @@
 //!
 //! [`PerfCounters`]: crate::perf::PerfCounters
 
-use o1_obs::CostKind;
 use core::fmt;
+use o1_obs::CostKind;
 
-use crate::addr::{FrameNo, PageSize, PhysAddr, VirtAddr, PAGE_SIZE, PT_ENTRIES};
+use crate::addr::{FrameNo, PageSize, PhysAddr, VirtAddr, PAGE_SIZE, PT_ENTRIES, PT_LEVELS};
 use crate::machine::Machine;
 
 /// Page-table entry permission / status bits.
@@ -97,7 +114,7 @@ impl fmt::Debug for PteFlags {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct PtNodeId(u32);
 
-/// One page-table entry.
+/// One page-table entry, decoded from its PTE word.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Entry {
     /// Not present.
@@ -114,25 +131,78 @@ pub enum Entry {
     },
 }
 
+/// PTE word bit 0: the entry is present.
+const PTE_PRESENT: u64 = 1 << 0;
+/// PTE word bit 1: the entry points at a lower-level node.
+const PTE_TABLE: u64 = 1 << 1;
+/// Position of the [`PteFlags`] bits in a PTE word.
+const PTE_FLAGS_SHIFT: u32 = 2;
+/// The [`PteFlags`] bits of a PTE word.
+const PTE_FLAG_BITS: u64 = 0x3f << PTE_FLAGS_SHIFT;
+/// Position of the frame number (or node id) in a PTE word.
+const PTE_ADDR_SHIFT: u32 = 12;
+/// Largest frame number a PTE word can encode.
+const PTE_MAX_FRAME: u64 = u64::MAX >> PTE_ADDR_SHIFT;
+
+impl Entry {
+    /// Pack into a PTE word (see the module docs for the layout).
+    ///
+    /// # Panics
+    /// Panics if a leaf's frame number exceeds [`PTE_MAX_FRAME`].
+    #[inline]
+    fn to_pte(self) -> u64 {
+        match self {
+            Entry::None => 0,
+            Entry::Table(PtNodeId(id)) => u64::from(id) << PTE_ADDR_SHIFT | PTE_TABLE | PTE_PRESENT,
+            Entry::Leaf { frame, flags } => {
+                assert!(
+                    frame.0 <= PTE_MAX_FRAME,
+                    "frame {frame:?} too wide for a PTE word"
+                );
+                frame.0 << PTE_ADDR_SHIFT | u64::from(flags.0) << PTE_FLAGS_SHIFT | PTE_PRESENT
+            }
+        }
+    }
+
+    /// Unpack a PTE word: a bit test per kind, then a mask and a shift.
+    #[inline]
+    fn from_pte(w: u64) -> Entry {
+        if w & PTE_PRESENT == 0 {
+            Entry::None
+        } else if w & PTE_TABLE != 0 {
+            Entry::Table(PtNodeId((w >> PTE_ADDR_SHIFT) as u32))
+        } else {
+            Entry::Leaf {
+                frame: FrameNo(w >> PTE_ADDR_SHIFT),
+                flags: pte_flags(w),
+            }
+        }
+    }
+}
+
+/// The [`PteFlags`] of a leaf PTE word.
+#[inline]
+fn pte_flags(w: u64) -> PteFlags {
+    PteFlags(((w & PTE_FLAG_BITS) >> PTE_FLAGS_SHIFT) as u8)
+}
+
+/// The 512 PTE words of one node.
+type NodeBuf = [u64; PT_ENTRIES];
+
+// A node occupies exactly one page of host memory, like the hardware
+// table it models.
+const _: () = assert!(core::mem::size_of::<NodeBuf>() as u64 == PAGE_SIZE);
+
+/// One arena slot. A freed slot has `refs == 0` and keeps its zeroed
+/// buffer for the next node created in it.
 #[derive(Debug)]
 struct Node {
     level: u8,
     /// Number of parents (plus explicit retains) referencing this node.
     refs: u32,
-    /// Number of non-`None` entries, for cheap emptiness checks.
+    /// Number of present entries, for cheap emptiness checks.
     live: u16,
-    entries: Box<[Entry]>,
-}
-
-impl Node {
-    fn new(level: u8) -> Node {
-        Node {
-            level,
-            refs: 1,
-            live: 0,
-            entries: vec![Entry::None; PT_ENTRIES].into_boxed_slice(),
-        }
-    }
+    entries: Box<NodeBuf>,
 }
 
 /// Errors from mapping operations.
@@ -175,8 +245,11 @@ pub struct Translation {
 /// Arena of refcounted page-table nodes shared by all address spaces.
 #[derive(Debug, Default)]
 pub struct PageTables {
-    nodes: Vec<Option<Node>>,
+    /// Every slot ever created; freed slots keep their zeroed buffer.
+    nodes: Vec<Node>,
     free_ids: Vec<u32>,
+    /// Slots holding a live node (`refs > 0`).
+    live_nodes: usize,
     /// Bumped on every structural change (entry writes, node
     /// allocation/free). Flag-only updates ([`mark_accessed`],
     /// [`test_and_clear_accessed`]) do not bump it. Software walk
@@ -200,7 +273,7 @@ impl PageTables {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
+        self.live_nodes
     }
 
     /// Bytes of page-table metadata currently allocated (each node is
@@ -210,15 +283,15 @@ impl PageTables {
     }
 
     fn node(&self, id: PtNodeId) -> &Node {
-        self.nodes[id.0 as usize]
-            .as_ref()
-            .expect("stale PtNodeId: node was freed")
+        let n = &self.nodes[id.0 as usize];
+        assert!(n.refs > 0, "stale PtNodeId: node was freed");
+        n
     }
 
     fn node_mut(&mut self, id: PtNodeId) -> &mut Node {
-        self.nodes[id.0 as usize]
-            .as_mut()
-            .expect("stale PtNodeId: node was freed")
+        let n = &mut self.nodes[id.0 as usize];
+        assert!(n.refs > 0, "stale PtNodeId: node was freed");
+        n
     }
 
     /// Level of `id` (0 = leaf page table, 3 = root).
@@ -249,16 +322,28 @@ impl PageTables {
     /// charge. The bulk-fault fast path uses it and replays the
     /// aggregate `PtNodeAlloc` charge afterwards.
     fn create_node_uncharged(&mut self, level: u8) -> PtNodeId {
-        assert!(level < crate::addr::PT_LEVELS, "bad page-table level");
+        assert!(level < PT_LEVELS, "bad page-table level");
         self.epoch += 1;
-        let node = Node::new(level);
+        self.live_nodes += 1;
         match self.free_ids.pop() {
             Some(i) => {
-                self.nodes[i as usize] = Some(node);
+                // The slot's buffer was zeroed when its node was freed.
+                let n = &mut self.nodes[i as usize];
+                n.level = level;
+                n.refs = 1;
                 PtNodeId(i)
             }
             None => {
-                self.nodes.push(Some(node));
+                let entries = vec![0u64; PT_ENTRIES]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("PT_ENTRIES words");
+                self.nodes.push(Node {
+                    level,
+                    refs: 1,
+                    live: 0,
+                    entries,
+                });
                 PtNodeId((self.nodes.len() - 1) as u32)
             }
         }
@@ -266,7 +351,7 @@ impl PageTables {
 
     /// Allocate a root (level-3) node for a new address space.
     pub fn create_root(&mut self, m: &mut Machine) -> PtNodeId {
-        self.create_node(m, crate::addr::PT_LEVELS - 1)
+        self.create_node(m, PT_LEVELS - 1)
     }
 
     /// Take an additional reference on `id`.
@@ -281,35 +366,39 @@ impl PageTables {
     /// by the allocator or file layer.
     pub fn release(&mut self, m: &mut Machine, id: PtNodeId) {
         let node = self.node_mut(id);
-        assert!(node.refs > 0, "release of node with zero refs");
         node.refs -= 1;
         if node.refs > 0 {
             return;
         }
-        // Free this node; release children afterwards to keep borrows
-        // simple (depth is bounded by PT_LEVELS).
-        let children: Vec<PtNodeId> = self
-            .node(id)
-            .entries
-            .iter()
-            .filter_map(|e| match e {
-                Entry::Table(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
-        self.nodes[id.0 as usize] = None;
+        let mut present = node.live;
+        node.live = 0;
+        self.live_nodes -= 1;
         self.free_ids.push(id.0);
         self.epoch += 1;
         m.charge_kind(CostKind::PtNodeFree);
         m.perf.pt_nodes_freed += 1;
-        for c in children {
-            self.release(m, c);
+        // Zero the buffer for its next node while releasing children
+        // in entry order (recursion depth is bounded by PT_LEVELS).
+        // Only present entries are non-zero, so the scan stops after
+        // the last one.
+        let mut i = 0;
+        while present > 0 {
+            let w = core::mem::take(&mut self.nodes[id.0 as usize].entries[i]);
+            i += 1;
+            if w == 0 {
+                continue;
+            }
+            present -= 1;
+            if let Entry::Table(child) = Entry::from_pte(w) {
+                self.release(m, child);
+            }
         }
     }
 
     /// Read the raw entry at (`node`, `index`).
+    #[inline]
     pub fn entry(&self, node: PtNodeId, index: usize) -> Entry {
-        self.node(node).entries[index]
+        Entry::from_pte(self.node(node).entries[index])
     }
 
     fn set_entry(&mut self, m: &mut Machine, node: PtNodeId, index: usize, e: Entry) {
@@ -322,16 +411,31 @@ impl PageTables {
     /// [`set_entry`] but no cost or perf charge (bulk-fault fast
     /// path; the caller replays the aggregate `PteWrite` charge).
     fn set_entry_uncharged(&mut self, node: PtNodeId, index: usize, e: Entry) {
+        let w = e.to_pte();
         self.epoch += 1;
         let n = self.node_mut(node);
-        let old_live = !matches!(n.entries[index], Entry::None);
-        let new_live = !matches!(e, Entry::None);
-        match (old_live, new_live) {
+        match (n.entries[index] != 0, w != 0) {
             (false, true) => n.live += 1,
             (true, false) => n.live -= 1,
             _ => {}
         }
-        n.entries[index] = e;
+        n.entries[index] = w;
+    }
+
+    /// Rewrite the flags of the leaf covering `va` with `f`, returning
+    /// the old flags. Hardware A/D updates are not structural: they
+    /// neither charge kernel cost nor bump the epoch.
+    fn update_leaf_flags(
+        &mut self,
+        root: PtNodeId,
+        va: VirtAddr,
+        f: impl FnOnce(PteFlags) -> PteFlags,
+    ) -> Option<PteFlags> {
+        let (node, index, _) = self.leaf_slot(root, va)?;
+        let w = &mut self.node_mut(node).entries[index];
+        let old = pte_flags(*w);
+        *w = *w & !PTE_FLAG_BITS | u64::from(f(old).0) << PTE_FLAGS_SHIFT;
+        Some(old)
     }
 
     /// Walk from `root` to the node at `target_level` for `va`,
@@ -346,7 +450,7 @@ impl PageTables {
     ) -> Result<PtNodeId, MapError> {
         let mut cur = root;
         let mut level = self.node(cur).level;
-        debug_assert_eq!(level, crate::addr::PT_LEVELS - 1);
+        debug_assert_eq!(level, PT_LEVELS - 1);
         while level > target_level {
             let idx = va.pt_index(level);
             match self.entry(cur, idx) {
@@ -458,7 +562,7 @@ impl PageTables {
         let mut created = 0u64;
         let mut cur = root;
         let mut level = self.node(cur).level;
-        debug_assert_eq!(level, crate::addr::PT_LEVELS - 1);
+        debug_assert_eq!(level, PT_LEVELS - 1);
         while level > leaf_level {
             let idx = va.pt_index(level);
             match self.entry(cur, idx) {
@@ -603,7 +707,8 @@ impl PageTables {
         va: VirtAddr,
     ) -> Option<(FrameNo, PteFlags, PageSize)> {
         // Record the walk path so empty nodes can be pruned.
-        let mut path: Vec<(PtNodeId, usize)> = Vec::with_capacity(4);
+        let mut path = [(root, 0usize); PT_LEVELS as usize];
+        let mut depth = 0;
         let mut cur = root;
         let mut level = self.node(cur).level;
         let (frame, flags, size) = loop {
@@ -611,7 +716,8 @@ impl PageTables {
             match self.entry(cur, idx) {
                 Entry::None => return None,
                 Entry::Table(child) => {
-                    path.push((cur, idx));
+                    path[depth] = (cur, idx);
+                    depth += 1;
                     cur = child;
                     level -= 1;
                 }
@@ -629,7 +735,7 @@ impl PageTables {
         };
         // Prune empty, unshared nodes bottom-up.
         let mut child = cur;
-        for (parent, idx) in path.into_iter().rev() {
+        for &(parent, idx) in path[..depth].iter().rev() {
             if child == root || self.node(child).live > 0 || self.node(child).refs > 1 {
                 break;
             }
@@ -700,7 +806,7 @@ impl PageTables {
     /// one memory reference per level touched and counts the walk.
     pub fn walk(&self, m: &mut Machine, root: PtNodeId, va: VirtAddr) -> Option<Translation> {
         let t = self.lookup(root, va);
-        let touched = t.map_or(crate::addr::PT_LEVELS, |t| t.levels_touched);
+        let touched = t.map_or(PT_LEVELS, |t| t.levels_touched);
         m.perf.page_walks += 1;
         m.charge_opn(o1_obs::CostKind::PtwLevelRef, u64::from(touched));
         t
@@ -709,52 +815,19 @@ impl PageTables {
     /// Set the ACCESSED (and, for writes, DIRTY) bits on the leaf entry
     /// covering `va`, as the hardware walker does on a TLB fill.
     pub fn mark_accessed(&mut self, root: PtNodeId, va: VirtAddr, write: bool) {
-        let mut cur = root;
-        let mut level = self.node(cur).level;
-        loop {
-            let idx = va.pt_index(level);
-            match self.entry(cur, idx) {
-                Entry::None => return,
-                Entry::Table(child) => {
-                    cur = child;
-                    level -= 1;
-                }
-                Entry::Leaf { frame, flags } => {
-                    let mut f = flags.union(PteFlags::ACCESSED);
-                    if write {
-                        f = f.union(PteFlags::DIRTY);
-                    }
-                    // Hardware A/D updates do not charge kernel cost.
-                    self.node_mut(cur).entries[idx] = Entry::Leaf { frame, flags: f };
-                    return;
-                }
-            }
-        }
+        let set = if write {
+            PteFlags::ACCESSED.union(PteFlags::DIRTY)
+        } else {
+            PteFlags::ACCESSED
+        };
+        self.update_leaf_flags(root, va, |f| f.union(set));
     }
 
     /// Clear the ACCESSED bit on the leaf covering `va`, returning its
     /// previous value (used by the clock reclaim algorithm).
     pub fn test_and_clear_accessed(&mut self, root: PtNodeId, va: VirtAddr) -> Option<bool> {
-        let mut cur = root;
-        let mut level = self.node(cur).level;
-        loop {
-            let idx = va.pt_index(level);
-            match self.entry(cur, idx) {
-                Entry::None => return None,
-                Entry::Table(child) => {
-                    cur = child;
-                    level -= 1;
-                }
-                Entry::Leaf { frame, flags } => {
-                    let was = flags.contains(PteFlags::ACCESSED);
-                    self.node_mut(cur).entries[idx] = Entry::Leaf {
-                        frame,
-                        flags: flags.difference(PteFlags::ACCESSED),
-                    };
-                    return Some(was);
-                }
-            }
-        }
+        self.update_leaf_flags(root, va, |f| f.difference(PteFlags::ACCESSED))
+            .map(|old| old.contains(PteFlags::ACCESSED))
     }
 
     /// Write a leaf entry directly into a standalone node — used to
@@ -818,10 +891,7 @@ impl PageTables {
         node: PtNodeId,
     ) -> Result<(), MapError> {
         let node_level = self.node(node).level;
-        assert!(
-            node_level < crate::addr::PT_LEVELS - 1,
-            "cannot share a root node"
-        );
+        assert!(node_level < PT_LEVELS - 1, "cannot share a root node");
         if !va.is_aligned(Self::node_span(node_level)) {
             return Err(MapError::Misaligned);
         }
@@ -1276,5 +1346,149 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pt.metadata_bytes(), 4 * PAGE_SIZE);
+    }
+
+    /// Live slots found by scanning the arena: the reference the O(1)
+    /// live-node counter must match.
+    fn scanned_node_count(pt: &PageTables) -> usize {
+        pt.nodes.iter().filter(|n| n.refs > 0).count()
+    }
+
+    #[test]
+    fn pte_words_round_trip() {
+        assert_eq!(Entry::None.to_pte(), 0);
+        assert_eq!(Entry::from_pte(0), Entry::None);
+        for bits in 0..64u8 {
+            for frame in [0, 1, 0xdead_beef, PTE_MAX_FRAME] {
+                let e = Entry::Leaf {
+                    frame: FrameNo(frame),
+                    flags: PteFlags(bits),
+                };
+                let w = e.to_pte();
+                assert_eq!(w & (PTE_PRESENT | PTE_TABLE), PTE_PRESENT);
+                assert_eq!(Entry::from_pte(w), e, "flags {bits:#x} frame {frame:#x}");
+            }
+        }
+        for id in [0, 1, 4096, u32::MAX] {
+            let e = Entry::Table(PtNodeId(id));
+            let w = e.to_pte();
+            assert_eq!(w & (PTE_PRESENT | PTE_TABLE), PTE_PRESENT | PTE_TABLE);
+            assert_eq!(Entry::from_pte(w), e, "table {id}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide for a PTE word")]
+    fn frame_wider_than_a_pte_word_panics() {
+        let (mut m, mut pt, _) = setup();
+        let leaf = pt.create_node(&mut m, 0);
+        pt.set_leaf(
+            &mut m,
+            leaf,
+            0,
+            FrameNo(PTE_MAX_FRAME + 1),
+            PteFlags::user_rw(),
+        );
+    }
+
+    #[test]
+    fn recycled_nodes_come_back_empty() {
+        let (mut m, mut pt, root) = setup();
+        let vas: Vec<VirtAddr> = (0..8u64)
+            .map(|i| VirtAddr(i * HUGE_1G + i * HUGE_2M + i * PAGE_SIZE))
+            .collect();
+        for (i, &va) in vas.iter().enumerate() {
+            let flags = PteFlags(i as u8 * 7 % 64);
+            pt.map(
+                &mut m,
+                root,
+                va,
+                FrameNo(100 + i as u64),
+                PageSize::Base,
+                flags,
+            )
+            .unwrap();
+            pt.mark_accessed(root, va, true);
+        }
+        pt.map(
+            &mut m,
+            root,
+            VirtAddr(64 * HUGE_1G),
+            FrameNo(512),
+            PageSize::Huge2M,
+            PteFlags::user_rw(),
+        )
+        .unwrap();
+        let slots = pt.nodes.len();
+        assert!(slots > 8);
+        // The whole tree, leaves and tables still in place, goes back.
+        pt.release(&mut m, root);
+        assert_eq!(pt.node_count(), 0);
+        // Rebuild as many nodes at every level: each reuses a freed
+        // slot's buffer, and each must read as a fresh node.
+        let fresh: Vec<PtNodeId> = (0..slots)
+            .map(|i| pt.create_node(&mut m, (i % PT_LEVELS as usize) as u8))
+            .collect();
+        assert_eq!(pt.nodes.len(), slots, "no slot was allocated anew");
+        for &id in &fresh {
+            assert_eq!(pt.live_entries(id), 0);
+            for i in 0..PT_ENTRIES {
+                assert_eq!(pt.entry(id, i), Entry::None, "node {id:?} entry {i}");
+            }
+        }
+        for &id in fresh.iter().filter(|&&id| pt.level(id) == PT_LEVELS - 1) {
+            for &va in &vas {
+                assert!(pt.lookup(id, va).is_none());
+                assert_eq!(pt.absent_run(id, va, 1), 1);
+            }
+            assert!(pt.lookup(id, VirtAddr(64 * HUGE_1G)).is_none());
+        }
+    }
+
+    #[test]
+    fn node_counter_matches_a_slot_scan() {
+        let (mut m, mut pt, root_a) = setup();
+        let mut roots = vec![root_a, pt.create_root(&mut m)];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..2000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let r = (x % 2) as usize;
+            let va = VirtAddr(
+                (x >> 8) % 4 * HUGE_1G + (x >> 16) % 8 * HUGE_2M + (x >> 24) % 4 * PAGE_SIZE,
+            );
+            match (x >> 32) % 8 {
+                0..=3 => {
+                    let _ = pt.map(
+                        &mut m,
+                        roots[r],
+                        va,
+                        FrameNo(step),
+                        PageSize::Base,
+                        PteFlags::user_rw(),
+                    );
+                }
+                4 | 5 => {
+                    pt.unmap(&mut m, roots[r], va);
+                }
+                6 => {
+                    let chunk = VirtAddr(va.0 & !(HUGE_2M - 1));
+                    if let Some(leaf) = pt.subtree(roots[r], chunk, 0) {
+                        let _ = pt.share(&mut m, roots[1 - r], chunk, leaf);
+                    }
+                }
+                _ => {
+                    pt.release(&mut m, roots[r]);
+                    roots[r] = pt.create_root(&mut m);
+                }
+            }
+            assert_eq!(pt.node_count(), scanned_node_count(&pt), "step {step}");
+        }
+        for r in roots {
+            pt.release(&mut m, r);
+        }
+        assert_eq!(pt.node_count(), 0);
+        assert_eq!(scanned_node_count(&pt), 0);
     }
 }

@@ -1,7 +1,9 @@
 //! Model-based property tests: the page-table arena must agree with a
 //! simple `HashMap<page, frame>` oracle under arbitrary interleavings
 //! of map / unmap / share / unshare across multiple address spaces,
-//! and never leak or double-free nodes.
+//! with whole address spaces torn down and rebuilt mid-run so freed
+//! node buffers are recycled into new trees, and never leak or
+//! double-free nodes.
 
 use std::collections::HashMap;
 
@@ -23,6 +25,9 @@ enum Op {
     Unshare { space: usize, chunk: u64 },
     /// Translate a page and check against the model.
     Check { space: usize, page: u64 },
+    /// Release `space`'s root (freeing its private subtree) and give
+    /// the space a fresh, empty root.
+    Respawn { space: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -36,6 +41,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1usize..3, 0u64..2).prop_map(|(space, chunk)| Op::Share { space, chunk }),
         (1usize..3, 0u64..2).prop_map(|(space, chunk)| Op::Unshare { space, chunk }),
         (0usize..3, 0u64..1024).prop_map(|(space, page)| Op::Check { space, page }),
+        (1usize..3).prop_map(|space| Op::Respawn { space }),
     ]
 }
 
@@ -70,7 +76,7 @@ proptest! {
     fn page_tables_match_oracle(ops in proptest::collection::vec(op_strategy(), 1..120)) {
         let mut m = Machine::dram_only(64 << 20);
         let mut pt = PageTables::new();
-        let roots: Vec<PtNodeId> = (0..3).map(|_| pt.create_root(&mut m)).collect();
+        let mut roots: Vec<PtNodeId> = (0..3).map(|_| pt.create_root(&mut m)).collect();
         let mut model = Model {
             direct: vec![HashMap::new(); 3],
             shared_chunks: vec![vec![false; 2]; 3],
@@ -146,6 +152,17 @@ proptest! {
                     let got = pt.lookup(roots[space], va).map(|t| t.pa.frame().0);
                     let want = model.lookup(space, page);
                     prop_assert_eq!(got, want, "space {} page {}", space, page);
+                }
+                Op::Respawn { space } => {
+                    pt.release(&mut m, roots[space]);
+                    roots[space] = pt.create_root(&mut m);
+                    model.direct[space].clear();
+                    model.shared_chunks[space] = vec![false; 2];
+                    // The new root may sit in a recycled buffer: it
+                    // must translate nothing.
+                    for page in (0..1024u64).step_by(37) {
+                        prop_assert!(pt.lookup(roots[space], VirtAddr(page * PAGE_SIZE)).is_none());
+                    }
                 }
             }
         }

@@ -6,7 +6,10 @@
 #   scripts/ci.sh --gate    # perf gate only: regenerate the suite with
 #                           # --latency and bench-diff it against the
 #                           # committed BENCH_figures.json (exit 1 on
-#                           # any mean/percentile/count regression)
+#                           # any mean/percentile/count regression),
+#                           # byte-compare simulated series with
+#                           # GOLDEN_figures.json and hold host-measured
+#                           # series under the HOST_figures.json ceiling
 #
 # The repo builds offline: all external dev-deps resolve to the
 # in-tree shims under crates/shims/, so no network access is needed.
@@ -92,15 +95,28 @@ if [ "${1:-}" = "--gate" ]; then
         fi
         echo "golden: pure append over $prefix_len committed bytes"
     fi
+    echo "==> host ceiling history gate (committed HOST_figures.json may only fall)"
+    # Host-measured series (the simulator's own heap) live outside the
+    # byte-frozen golden file. Re-baselining them is how a host-side
+    # optimisation lands, but a committed point may never rise.
+    if git show HEAD:HOST_figures.json >"$out/head_host.json" 2>/dev/null; then
+        cargo run --release -p o1-bench --bin bench-diff -- --host --quiet \
+            "$out/head_host.json" HOST_figures.json
+    fi
     echo "==> uniprocessor gate (plain figure bytes vs GOLDEN_figures.json)"
     # Every figure except fig_smp's inner sweep runs on one simulated
     # CPU, where the SMP machinery must be invisible: no IPI is ever
     # charged and the frozen v1 JSON is byte-identical to the
     # committed golden copy. Regenerate and commit GOLDEN_figures.json
     # only alongside an intentional simulated-number change.
+    # Host-measured series are split off (--host-json) and held under
+    # the committed HOST_figures.json ceiling instead: equal or lower
+    # passes, any rise fails.
     cargo run --release -p o1-bench --bin figures -- \
-        --json "$out/plain.json" --no-bench >/dev/null
+        --json "$out/plain.json" --host-json "$out/host.json" --no-bench >/dev/null
     cmp GOLDEN_figures.json "$out/plain.json"
+    cargo run --release -p o1-bench --bin bench-diff -- --host \
+        HOST_figures.json "$out/host.json"
     echo "==> smp determinism gate (fig_smp bytes across --threads)"
     cargo run --release -p o1-bench --bin figures -- \
         --fig fig_smp --latency --attrib --threads 1 \
