@@ -1,5 +1,6 @@
 //! A minimal multiply-xor hasher for the simulator's host-side lookup
-//! structures (TLB index, software page-walk cache).
+//! structures (physical-memory chunk map, ASID presence masks, kernel
+//! tables).
 //!
 //! These maps are keyed by small fixed-width ids and probed on every
 //! simulated memory access, so SipHash's DoS resistance buys nothing

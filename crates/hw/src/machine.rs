@@ -50,7 +50,7 @@ pub fn fastforward_default() -> bool {
 pub const MAX_CPUS: u32 = 64;
 
 /// Identifies one simulated CPU. Each CPU owns private translation
-/// state (TLB, range TLB, page-walk cache); cross-CPU invalidation is
+/// state (TLB, range TLB); cross-CPU invalidation is
 /// a broadcast that charges per-responding-CPU IPI costs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default, Hash)]
 pub struct CpuId(pub u32);

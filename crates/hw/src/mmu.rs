@@ -15,10 +15,10 @@
 //! so experiments can attribute time to translation machinery exactly.
 
 use o1_obs::CostKind;
-use crate::addr::{FrameNo, PageNo, PageSize, PhysAddr, VirtAddr};
+use crate::addr::{PageSize, PhysAddr, VirtAddr, PT_LEVELS};
 use crate::fasthash::FastMap;
 use crate::machine::{CpuId, Machine};
-use crate::pagetable::{Entry, PageTables, PtNodeId, PteFlags, Translation};
+use crate::pagetable::{Entry, PageTables, PtNodeId, PteFlags};
 use crate::range::{RangeTable, RangeTlb};
 use crate::tlb::{Asid, Tlb};
 
@@ -114,44 +114,21 @@ impl WalkMode {
     }
 }
 
-/// One remembered leaf slot in the software page-walk cache: where
-/// the leaf PTE for a page lives, and how many levels the hardware
-/// walk touched to find it. Frame and flags are re-read from the live
-/// PTE on every hit, so hardware A/D updates are always visible.
-#[derive(Clone, Copy, Debug)]
-struct WalkSlot {
-    node: PtNodeId,
-    index: u16,
-    levels_touched: u8,
-    size: PageSize,
-}
-
-/// Private translation state of one simulated CPU: its page TLB,
-/// range TLB, and software page-walk cache.
+/// Private translation state of one simulated CPU: its page TLB and
+/// range TLB.
 #[derive(Debug)]
 struct CpuMmu {
     /// Page TLB.
     tlb: Tlb,
     /// Range TLB.
     rtlb: RangeTlb,
-    /// Software page-walk cache: `(root, base page)` → leaf slot. A
-    /// pure host-side accelerator — hits charge exactly what the full
-    /// walk would ([`CostModel::walk`] of the cached level count plus
-    /// one [`PerfCounters::page_walks`]), so simulated time and
-    /// counters are unchanged. Valid only while the page tables'
-    /// structural [`PageTables::epoch`] matches `walk_epoch`; any
-    /// map/unmap/share/free empties it on the next walk. An `Mmu` must
-    /// always be driven with the same [`PageTables`] arena.
-    ///
-    /// [`CostModel::walk`]: crate::cost::CostModel::walk
-    /// [`PerfCounters::page_walks`]: crate::perf::PerfCounters
-    walk_cache: FastMap<(PtNodeId, PageNo), WalkSlot>,
-    /// Epoch the walk-cache contents were built at.
-    walk_epoch: u64,
     /// Broadcast-invalidation epoch this CPU last synchronised with.
     /// Every interpreted translate syncs; the fast-forward prover
     /// refuses to span an invalidation the CPU has not yet observed.
     synced_epoch: u64,
+    /// ASID whose presence bit this CPU set last and which no flush
+    /// has cleared since, so noting it again can skip the mask update.
+    noted: Option<Asid>,
 }
 
 impl CpuMmu {
@@ -159,9 +136,8 @@ impl CpuMmu {
         CpuMmu {
             tlb: tlb_geometry.map_or_else(Tlb::default, |(sets, assoc)| Tlb::new(sets, assoc)),
             rtlb: rtlb_entries.map_or_else(RangeTlb::default, RangeTlb::new),
-            walk_cache: FastMap::default(),
-            walk_epoch: 0,
             synced_epoch: 0,
+            noted: None,
         }
     }
 }
@@ -297,15 +273,14 @@ impl Mmu {
     }
 
     /// Append this MMU's gauge readings (for the timeline sampler):
-    /// TLB / range-TLB / walk-cache occupancy summed across CPUs,
+    /// TLB and range-TLB occupancy summed across CPUs,
     /// total ASID presence-mask population, and the broadcast
     /// invalidation epoch.
     pub fn gauges(&self, out: &mut Vec<(&'static str, u64)>) {
-        let (mut tlb, mut rtlb, mut walk) = (0u64, 0u64, 0u64);
+        let (mut tlb, mut rtlb) = (0u64, 0u64);
         for cpu in &self.cpus {
             tlb += cpu.tlb.occupancy() as u64;
             rtlb += cpu.rtlb.occupancy() as u64;
-            walk += cpu.walk_cache.len() as u64;
         }
         let presence: u64 = self
             .asid_cpus
@@ -314,7 +289,6 @@ impl Mmu {
             .sum();
         out.push(("mmu.tlb_entries", tlb));
         out.push(("mmu.rtlb_entries", rtlb));
-        out.push(("mmu.walk_cache_entries", walk));
         out.push(("mmu.asid_presence", presence));
         out.push(("mmu.inval_epoch", self.inval_epoch));
     }
@@ -328,10 +302,16 @@ impl Mmu {
     }
 
     /// Note that the current CPU translates for `asid` (sets its
-    /// presence bit, making it a responder to future broadcasts).
+    /// presence bit, making it a responder to future broadcasts). The
+    /// bit is already set if this CPU noted `asid` last, unless a
+    /// flush cleared it since.
     #[inline]
     fn note_presence(&mut self, asid: Asid) {
-        *self.asid_cpus.entry(asid).or_insert(0) |= 1u64 << self.current.index();
+        let cur = self.current.index();
+        if self.cpus[cur].noted != Some(asid) {
+            *self.asid_cpus.entry(asid).or_insert(0) |= 1u64 << cur;
+            self.cpus[cur].noted = Some(asid);
+        }
     }
 
     /// Fast-forward obligation check: true when the current CPU has
@@ -419,31 +399,29 @@ impl Mmu {
             }
         }
 
-        // 4. Page-table walk (charges native refs; deeper/virtualized
-        // modes charge the extra references on top).
-        match self.cached_walk(m, pt, root, va) {
-            Some((t, frame)) => {
-                m.charge_opn(
-                    CostKind::PtwLevelRef,
-                    self.walk_mode.extra_refs(t.levels_touched),
-                );
-                check_prot(t.flags, access)?;
-                m.charge_kind(CostKind::TlbFill);
-                self.cpus[cur].tlb.insert(asid, va, frame, t.size, t.flags);
-                pt.mark_accessed(root, va, access == Access::Write);
-                Ok(Translated {
-                    pa: t.pa,
-                    by: Satisfied::PageWalk,
-                })
-            }
-            None => {
-                m.charge_opn(
-                    CostKind::PtwLevelRef,
-                    self.walk_mode.extra_refs(crate::addr::PT_LEVELS),
-                );
-                Err(TranslateError::NotMapped)
-            }
-        }
+        // 4. Page-table walk: one descent finds the leaf slot, the walk
+        // charges native refs (deeper/virtualized modes charge the
+        // extra references on top), and A/D land on the slot found.
+        m.perf.page_walks += 1;
+        let Some((node, index, touched)) = pt.leaf_slot(root, va) else {
+            m.charge_opn(CostKind::PtwLevelRef, u64::from(PT_LEVELS));
+            m.charge_opn(CostKind::PtwLevelRef, self.walk_mode.extra_refs(PT_LEVELS));
+            return Err(TranslateError::NotMapped);
+        };
+        let Entry::Leaf { frame, flags } = pt.entry(node, index) else {
+            unreachable!("leaf_slot returns leaf entries only");
+        };
+        let size = PageSize::at_leaf_level(pt.level(node));
+        m.charge_opn(CostKind::PtwLevelRef, u64::from(touched));
+        m.charge_opn(CostKind::PtwLevelRef, self.walk_mode.extra_refs(touched));
+        check_prot(flags, access)?;
+        m.charge_kind(CostKind::TlbFill);
+        self.cpus[cur].tlb.insert(asid, va, frame, size, flags);
+        pt.mark_slot_accessed(node, index, access == Access::Write);
+        Ok(Translated {
+            pa: PhysAddr(frame.base().0 + (va.0 & (size.bytes() - 1))),
+            by: Satisfied::PageWalk,
+        })
     }
 
     /// Fast-forward probe + commit: try to prove that the next `len`
@@ -654,115 +632,6 @@ impl Mmu {
         Some(span)
     }
 
-    /// Leave the current CPU's software page-walk cache exactly as an
-    /// interpreted bulk-fault run would have. Per faulted page the
-    /// interpreter walks once to prove absence (caching nothing),
-    /// installs the mapping (bumping the page-table epoch), and walks
-    /// again successfully — so each page's cache fill is flushed by
-    /// the next page's install, and the run ends with precisely one
-    /// slot cached: the final page's. The cache is a pure host-side
-    /// accelerator, but its occupancy is a timeline gauge
-    /// (`mmu.walk_cache_entries`), so the fused replay must converge
-    /// to the same contents. Charge-free by construction.
-    pub fn replay_fault_run_walk_cache(
-        &mut self,
-        pt: &PageTables,
-        root: PtNodeId,
-        last_va: VirtAddr,
-    ) {
-        let cpu = &mut self.cpus[self.current.index()];
-        if cpu.walk_epoch != pt.epoch() {
-            cpu.walk_cache.clear();
-            cpu.walk_epoch = pt.epoch();
-        }
-        let Some((node, index, touched)) = pt.leaf_slot(root, last_va) else {
-            debug_assert!(false, "bulk-fault replay: final page must be mapped");
-            return;
-        };
-        let size = match pt.level(node) {
-            0 => PageSize::Base,
-            1 => PageSize::Huge2M,
-            2 => PageSize::Huge1G,
-            _ => unreachable!("leaf at root level"),
-        };
-        cpu.walk_cache.insert(
-            (root, last_va.page()),
-            WalkSlot {
-                node,
-                index: index as u16,
-                levels_touched: touched,
-                size,
-            },
-        );
-    }
-
-    /// Hardware page walk through the software page-walk cache.
-    ///
-    /// Returns the same [`Translation`] the raw [`PageTables::walk`]
-    /// would produce, plus the leaf's frame (what the TLB fill needs),
-    /// while charging the identical cost: one page-walk count and
-    /// `cost.walk(levels_touched)`. On a cache hit the host skips the
-    /// tree traversal and re-reads the live leaf PTE directly, so
-    /// A/D-bit updates done in place remain visible. Structural page-
-    /// table changes bump [`PageTables::epoch`], which empties the
-    /// cache here before it can serve a stale slot.
-    fn cached_walk(
-        &mut self,
-        m: &mut Machine,
-        pt: &PageTables,
-        root: PtNodeId,
-        va: VirtAddr,
-    ) -> Option<(Translation, FrameNo)> {
-        let cpu = &mut self.cpus[self.current.index()];
-        if cpu.walk_epoch != pt.epoch() {
-            cpu.walk_cache.clear();
-            cpu.walk_epoch = pt.epoch();
-        }
-        let key = (root, va.page());
-        let slot = match cpu.walk_cache.get(&key) {
-            Some(&slot) => slot,
-            None => match pt.leaf_slot(root, va) {
-                Some((node, index, touched)) => {
-                    let size = match pt.level(node) {
-                        0 => PageSize::Base,
-                        1 => PageSize::Huge2M,
-                        2 => PageSize::Huge1G,
-                        _ => unreachable!("leaf at root level"),
-                    };
-                    let slot = WalkSlot {
-                        node,
-                        index: index as u16,
-                        levels_touched: touched,
-                        size,
-                    };
-                    cpu.walk_cache.insert(key, slot);
-                    slot
-                }
-                None => {
-                    // Exactly what `PageTables::walk` charges for a
-                    // failed walk: one counted walk at full depth.
-                    m.perf.page_walks += 1;
-                    m.charge_opn(CostKind::PtwLevelRef, u64::from(crate::addr::PT_LEVELS));
-                    return None;
-                }
-            },
-        };
-        let (frame, flags) = match pt.entry(slot.node, slot.index as usize) {
-            Entry::Leaf { frame, flags } => (frame, flags),
-            _ => unreachable!("walk-cache slot went stale within an epoch"),
-        };
-        m.perf.page_walks += 1;
-        m.charge_opn(CostKind::PtwLevelRef, u64::from(slot.levels_touched));
-        let off = va.0 & (slot.size.bytes() - 1);
-        let t = Translation {
-            pa: PhysAddr(frame.base().0 + off),
-            flags,
-            size: slot.size,
-            levels_touched: slot.levels_touched,
-        };
-        Some((t, frame))
-    }
-
     /// Broadcast a single-page invalidation (INVLPG): drop the entry
     /// on every CPU, charging the local `invlpg` plus one IPI per
     /// responding remote CPU. On a one-CPU machine this is exactly
@@ -807,8 +676,12 @@ impl Mmu {
         while bits != 0 {
             let c = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            self.cpus[c].tlb.flush_asid(asid);
-            self.cpus[c].rtlb.flush_asid(asid);
+            let cpu = &mut self.cpus[c];
+            cpu.tlb.flush_asid(asid);
+            cpu.rtlb.flush_asid(asid);
+            if cpu.noted == Some(asid) {
+                cpu.noted = None;
+            }
         }
         self.asid_cpus.remove(&asid);
         self.cpus[self.current.index()].synced_epoch = self.inval_epoch;
@@ -860,7 +733,7 @@ fn check_prot(flags: PteFlags, access: Access) -> Result<(), TranslateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{FrameNo, PageSize, PAGE_SIZE};
+    use crate::addr::{FrameNo, PageSize, HUGE_2M, PAGE_SIZE};
     use crate::range::RangeEntry;
 
     const A: Asid = Asid(1);
@@ -999,6 +872,66 @@ mod tests {
             .unwrap()
             .flags
             .contains(PteFlags::DIRTY));
+    }
+
+    #[test]
+    fn one_descent_walk_sets_accessed_dirty_on_its_leaf() {
+        let mut f = fix(false);
+        let (a, ad) = (
+            PteFlags::ACCESSED,
+            PteFlags::ACCESSED.union(PteFlags::DIRTY),
+        );
+        let rw = PteFlags::user_rw();
+        let (rd, wr, ro, huge) = (
+            VirtAddr(0x1000),
+            VirtAddr(0x2000),
+            VirtAddr(0x3000),
+            VirtAddr(4 * HUGE_2M),
+        );
+        for (va, frame, size, flags) in [
+            (rd, 1, PageSize::Base, rw),
+            (wr, 2, PageSize::Base, rw),
+            (ro, 3, PageSize::Base, PteFlags::user_ro()),
+            (huge, 512, PageSize::Huge2M, rw),
+        ] {
+            f.pt.map(&mut f.m, f.root, va, FrameNo(frame), size, flags)
+                .unwrap();
+        }
+        let walk = |f: &mut Fix, va: VirtAddr, access: Access| {
+            f.mmu
+                .translate(&mut f.m, &mut f.pt, f.root, &f.rt, A, va, access)
+                .map(|t| t.by)
+        };
+        let flags = |f: &Fix, va: VirtAddr| f.pt.lookup(f.root, va).unwrap().flags;
+
+        // A read miss sets A; a write miss sets A|D.
+        assert_eq!(walk(&mut f, rd, Access::Read), Ok(Satisfied::PageWalk));
+        assert_eq!(flags(&f, rd), rw.union(a));
+        assert_eq!(walk(&mut f, wr, Access::Write), Ok(Satisfied::PageWalk));
+        assert_eq!(flags(&f, wr), rw.union(ad));
+        // A write to a read-only leaf faults after the walk, before the
+        // TLB fill and the A/D update.
+        assert_eq!(
+            walk(&mut f, ro, Access::Write),
+            Err(TranslateError::Protection)
+        );
+        assert_eq!(flags(&f, ro), PteFlags::user_ro());
+        assert_eq!(f.mmu.tlb().occupancy(), 2);
+        // On a 2M leaf the bits land on the huge slot at level 1.
+        assert_eq!(
+            walk(&mut f, huge + 0x5008, Access::Write),
+            Ok(Satisfied::PageWalk)
+        );
+        let (node, index, touched) = f.pt.leaf_slot(f.root, huge + 0x5008).unwrap();
+        assert_eq!((f.pt.level(node), touched), (1, 3));
+        assert_eq!(
+            f.pt.entry(node, index),
+            Entry::Leaf {
+                frame: FrameNo(512),
+                flags: rw.union(ad)
+            }
+        );
+        assert_eq!(f.m.perf.page_walks, 4);
     }
 
     #[test]

@@ -250,25 +250,12 @@ pub struct PageTables {
     free_ids: Vec<u32>,
     /// Slots holding a live node (`refs > 0`).
     live_nodes: usize,
-    /// Bumped on every structural change (entry writes, node
-    /// allocation/free). Flag-only updates ([`mark_accessed`],
-    /// [`test_and_clear_accessed`]) do not bump it. Software walk
-    /// caches key their validity on this counter.
-    ///
-    /// [`mark_accessed`]: Self::mark_accessed
-    /// [`test_and_clear_accessed`]: Self::test_and_clear_accessed
-    epoch: u64,
 }
 
 impl PageTables {
     /// Empty arena.
     pub fn new() -> PageTables {
         PageTables::default()
-    }
-
-    /// Current structural-mutation epoch (see the field docs).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of live nodes.
@@ -317,13 +304,11 @@ impl PageTables {
         self.create_node_uncharged(level)
     }
 
-    /// State-only node allocation: identical arena and epoch effects
-    /// to [`create_node`](Self::create_node) but no cost or perf
+    /// State-only node allocation: identical arena effects to [`create_node`](Self::create_node) but no cost or perf
     /// charge. The bulk-fault fast path uses it and replays the
     /// aggregate `PtNodeAlloc` charge afterwards.
     fn create_node_uncharged(&mut self, level: u8) -> PtNodeId {
         assert!(level < PT_LEVELS, "bad page-table level");
-        self.epoch += 1;
         self.live_nodes += 1;
         match self.free_ids.pop() {
             Some(i) => {
@@ -374,7 +359,6 @@ impl PageTables {
         node.live = 0;
         self.live_nodes -= 1;
         self.free_ids.push(id.0);
-        self.epoch += 1;
         m.charge_kind(CostKind::PtNodeFree);
         m.perf.pt_nodes_freed += 1;
         // Zero the buffer for its next node while releasing children
@@ -407,12 +391,11 @@ impl PageTables {
         self.set_entry_uncharged(node, index, e);
     }
 
-    /// State-only entry write: identical node and epoch effects to
+    /// State-only entry write: identical node effects to
     /// [`set_entry`] but no cost or perf charge (bulk-fault fast
     /// path; the caller replays the aggregate `PteWrite` charge).
     fn set_entry_uncharged(&mut self, node: PtNodeId, index: usize, e: Entry) {
         let w = e.to_pte();
-        self.epoch += 1;
         let n = self.node_mut(node);
         match (n.entries[index] != 0, w != 0) {
             (false, true) => n.live += 1,
@@ -422,20 +405,23 @@ impl PageTables {
         n.entries[index] = w;
     }
 
-    /// Rewrite the flags of the leaf covering `va` with `f`, returning
-    /// the old flags. Hardware A/D updates are not structural: they
-    /// neither charge kernel cost nor bump the epoch.
-    fn update_leaf_flags(
+    /// Rewrite the flags of the leaf at (`node`, `index`) with `f`,
+    /// returning the old flags. Hardware A/D updates charge no kernel
+    /// cost.
+    fn update_slot_flags(
         &mut self,
-        root: PtNodeId,
-        va: VirtAddr,
+        node: PtNodeId,
+        index: usize,
         f: impl FnOnce(PteFlags) -> PteFlags,
-    ) -> Option<PteFlags> {
-        let (node, index, _) = self.leaf_slot(root, va)?;
+    ) -> PteFlags {
         let w = &mut self.node_mut(node).entries[index];
+        debug_assert!(
+            matches!(Entry::from_pte(*w), Entry::Leaf { .. }),
+            "not a leaf slot"
+        );
         let old = pte_flags(*w);
         *w = *w & !PTE_FLAG_BITS | u64::from(f(old).0) << PTE_FLAGS_SHIFT;
-        Some(old)
+        old
     }
 
     /// Walk from `root` to the node at `target_level` for `va`,
@@ -537,8 +523,8 @@ impl PageTables {
         Ok(entries)
     }
 
-    /// Map one page of `size` with the same arena mutations, epoch
-    /// bumps and failure modes as [`map`](Self::map) but **no**
+    /// Map one page of `size` with the same arena mutations and
+    /// failure modes as [`map`](Self::map) but **no**
     /// cost/perf charges. Returns the number of intermediate nodes
     /// created so the caller can replay the aggregate charge
     /// (`PtNodeAlloc` per node, `PteWrite` per node link + leaf).
@@ -722,12 +708,7 @@ impl PageTables {
                     level -= 1;
                 }
                 Entry::Leaf { frame, flags } => {
-                    let size = match level {
-                        0 => PageSize::Base,
-                        1 => PageSize::Huge2M,
-                        2 => PageSize::Huge1G,
-                        _ => unreachable!("leaf at root level"),
-                    };
+                    let size = PageSize::at_leaf_level(level);
                     self.set_entry(m, cur, idx, Entry::None);
                     break (frame, flags, size);
                 }
@@ -761,12 +742,7 @@ impl PageTables {
                     touched += 1;
                 }
                 Entry::Leaf { frame, flags } => {
-                    let size = match level {
-                        0 => PageSize::Base,
-                        1 => PageSize::Huge2M,
-                        2 => PageSize::Huge1G,
-                        _ => unreachable!("leaf at root level"),
-                    };
+                    let size = PageSize::at_leaf_level(level);
                     let off = va.0 & (size.bytes() - 1);
                     return Some(Translation {
                         pa: PhysAddr(frame.base().0 + off),
@@ -781,9 +757,9 @@ impl PageTables {
 
     /// Locate the node and entry index of the leaf covering `va`, plus
     /// the number of levels a hardware walk would touch to reach it.
-    /// Pure and uncharged, like [`lookup`](Self::lookup) — this is the
-    /// handle a software page-walk cache stores so later walks can
-    /// re-read the live PTE without traversing the tree.
+    /// Pure and uncharged, like [`lookup`](Self::lookup): the MMU's
+    /// TLB-miss walk descends once here, charges, then sets A/D on the
+    /// slot it found with [`mark_slot_accessed`](Self::mark_slot_accessed).
     pub fn leaf_slot(&self, root: PtNodeId, va: VirtAddr) -> Option<(PtNodeId, usize, u8)> {
         let mut cur = root;
         let mut level = self.node(cur).level;
@@ -815,19 +791,29 @@ impl PageTables {
     /// Set the ACCESSED (and, for writes, DIRTY) bits on the leaf entry
     /// covering `va`, as the hardware walker does on a TLB fill.
     pub fn mark_accessed(&mut self, root: PtNodeId, va: VirtAddr, write: bool) {
+        if let Some((node, index, _)) = self.leaf_slot(root, va) {
+            self.mark_slot_accessed(node, index, write);
+        }
+    }
+
+    /// [`mark_accessed`](Self::mark_accessed) on a leaf slot already
+    /// found by [`leaf_slot`](Self::leaf_slot), without descending
+    /// again.
+    pub fn mark_slot_accessed(&mut self, node: PtNodeId, index: usize, write: bool) {
         let set = if write {
             PteFlags::ACCESSED.union(PteFlags::DIRTY)
         } else {
             PteFlags::ACCESSED
         };
-        self.update_leaf_flags(root, va, |f| f.union(set));
+        self.update_slot_flags(node, index, |f| f.union(set));
     }
 
     /// Clear the ACCESSED bit on the leaf covering `va`, returning its
     /// previous value (used by the clock reclaim algorithm).
     pub fn test_and_clear_accessed(&mut self, root: PtNodeId, va: VirtAddr) -> Option<bool> {
-        self.update_leaf_flags(root, va, |f| f.difference(PteFlags::ACCESSED))
-            .map(|old| old.contains(PteFlags::ACCESSED))
+        let (node, index, _) = self.leaf_slot(root, va)?;
+        let old = self.update_slot_flags(node, index, |f| f.difference(PteFlags::ACCESSED));
+        Some(old.contains(PteFlags::ACCESSED))
     }
 
     /// Write a leaf entry directly into a standalone node — used to

@@ -428,11 +428,33 @@ impl PhysicalMemory {
     }
 
     /// Read a single `u64` at `pa` (little-endian), a convenience for
-    /// word-granularity workloads.
+    /// word-granularity workloads. A word inside one frame is read
+    /// straight from the frame's backing.
     pub fn read_u64(&self, pa: PhysAddr) -> u64 {
-        let mut b = [0u8; 8];
-        self.read(pa, &mut b);
-        u64::from_le_bytes(b)
+        let off = (pa.0 & (PAGE_SIZE - 1)) as usize;
+        if off > (PAGE_SIZE - 8) as usize {
+            // Frame-crossing word: the general path handles it.
+            let mut b = [0u8; 8];
+            self.read(pa, &mut b);
+            return u64::from_le_bytes(b);
+        }
+        self.check_range(pa, 8);
+        match self.frame_backing(pa.0 >> crate::addr::PAGE_SHIFT) {
+            None => 0,
+            Some(FrameBacking::Full(bytes)) => {
+                u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
+            }
+            // Word entries never overlap, so each contributes its
+            // bytes that fall in `[off, off + 8)`, shifted into place.
+            Some(FrameBacking::Words(n, words)) => words[..*n as usize]
+                .iter()
+                .map(|&(eo, v)| match eo as usize {
+                    eo if eo >= off + 8 || eo + 8 <= off => 0,
+                    eo if eo >= off => v << (8 * (eo - off)),
+                    eo => v >> (8 * (off - eo)),
+                })
+                .fold(0, |acc, part| acc | part),
+        }
     }
 
     /// Write a single `u64` at `pa` (little-endian). A word into an
@@ -447,10 +469,17 @@ impl PhysicalMemory {
         }
         self.check_range(pa, 8);
         let frame = pa.0 >> crate::addr::PAGE_SHIFT;
-        if v == 0 && self.frame_backing(frame).is_none() {
-            return;
-        }
-        let chunk = self.chunks.entry(frame >> CHUNK_SHIFT).or_insert_with(Chunk::new);
+        // One chunk-map probe. A zero needs no chunk: into an unbacked
+        // frame it is already there.
+        let key = frame >> CHUNK_SHIFT;
+        let chunk = if v == 0 {
+            match self.chunks.get_mut(&key) {
+                Some(chunk) => chunk,
+                None => return,
+            }
+        } else {
+            self.chunks.entry(key).or_insert_with(Chunk::new)
+        };
         let slot = &mut chunk.frames[(frame & (CHUNK_FRAMES - 1)) as usize];
         if write_word_slot(slot, off as u16, v) {
             chunk.backed += 1;

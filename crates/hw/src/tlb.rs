@@ -6,7 +6,6 @@
 //! mapped into a process if it would cause TLB misses"* (§3.2/§4.3).
 
 use crate::addr::{FrameNo, PageNo, PageSize, VirtAddr};
-use crate::fasthash::FastMap;
 use crate::pagetable::PteFlags;
 
 /// Address-space identifier tagging TLB entries.
@@ -26,44 +25,32 @@ struct TlbEntry {
     stamp: u64,
 }
 
-/// Hash key uniquely identifying a TLB entry (insert dedups on it).
-type TlbKey = (Asid, PageNo, PageSize);
+impl TlbEntry {
+    #[inline]
+    fn is(&self, asid: Asid, vpn: PageNo, size: PageSize) -> bool {
+        self.vpn == vpn && self.asid == asid && self.size == size
+    }
+}
+
+/// Probe order of a unified TLB: each supported page size in turn
+/// (real hardware splits structures; the effect is the same).
+const PROBE_SIZES: [PageSize; 3] = [PageSize::Base, PageSize::Huge2M, PageSize::Huge1G];
 
 /// A set-associative TLB.
 ///
+/// Every operation scans the ≤ `assoc` ways of the set it addresses.
 /// The per-set `Vec` order is the model: LRU eviction replaces the
-/// *first* minimum-stamp way, so insertion order breaks ties exactly
-/// as it always has. Two host-side accelerators sit on top and never
-/// change an outcome:
-///
-/// * `index` maps every resident entry's key to its `(set, way)`
-///   position, replacing the inner linear probes of `lookup`/`insert`
-///   with one hash probe per page size;
-/// * `last` remembers each ASID's most recent base-page hit (a small
-///   direct-mapped array, no hashing) so the common access loop
-///   revalidates one slot in O(1). Only base pages qualify: they are
-///   probed first, so a valid cached base entry is always what the
-///   size-ordered probe would have returned.
-///
-/// Both are revalidated or rebuilt on every mutation, so hit/miss
-/// behaviour, stamps and eviction victims are identical to a plain
-/// linear-scan implementation (see `tests/tlb_model.rs`).
+/// *first* minimum-stamp way, so insertion order breaks ties. A set's
+/// storage is allocated on its first insert, so an idle TLB costs the
+/// host no more than its set headers. `huge` counts resident 2M/1G
+/// entries; while it is zero, probes skip the huge-page sizes, which
+/// could only miss.
 #[derive(Debug)]
 pub struct Tlb {
     sets: Vec<Vec<TlbEntry>>,
     assoc: usize,
     tick: u64,
-    index: FastMap<TlbKey, (u32, u32)>,
-    last: [Option<(Asid, PageNo, u32, u32)>; LAST_SLOTS],
-}
-
-/// Slots in the per-ASID last-translation cache (direct-mapped by the
-/// low ASID bits; a collision just misses and repopulates).
-const LAST_SLOTS: usize = 8;
-
-#[inline]
-fn last_slot(asid: Asid) -> usize {
-    (asid.0 as usize) & (LAST_SLOTS - 1)
+    huge: usize,
 }
 
 /// Default number of TLB entries (64 sets × 8 ways = 512, in the range
@@ -90,11 +77,10 @@ impl Tlb {
         );
         assert!(assoc > 0, "associativity must be nonzero");
         Tlb {
-            sets: vec![Vec::with_capacity(assoc); sets],
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             assoc,
             tick: 0,
-            index: FastMap::default(),
-            last: [None; LAST_SLOTS],
+            huge: 0,
         }
     }
 
@@ -106,6 +92,18 @@ impl Tlb {
     /// Number of currently valid entries.
     pub fn occupancy(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
+    }
+
+    /// Every resident entry as `(set, asid, vpn, size)`, set by set
+    /// (test/diagnostic support for the model's structural invariants).
+    pub fn entries(&self) -> impl Iterator<Item = (usize, Asid, PageNo, PageSize)> + '_ {
+        (self.sets.iter().enumerate())
+            .flat_map(|(set, ways)| ways.iter().map(move |e| (set, e.asid, e.vpn, e.size)))
+    }
+
+    /// The resident-huge-entry count the probes trust (test support).
+    pub fn huge_entries(&self) -> usize {
+        self.huge
     }
 
     #[inline]
@@ -120,70 +118,45 @@ impl Tlb {
         va.align_down(size.bytes()).page()
     }
 
-    /// Rebuild `index` entries for one set after `Vec::retain`
-    /// compacted it and shifted way positions.
-    fn reindex_set(&mut self, set: usize) {
-        for (way, e) in self.sets[set].iter().enumerate() {
-            self.index
-                .insert((e.asid, e.vpn, e.size), (set as u32, way as u32));
-        }
+    /// Page sizes worth probing: all three while a huge entry is
+    /// resident, otherwise only the base size.
+    #[inline]
+    fn probe_sizes(&self) -> &'static [PageSize] {
+        &PROBE_SIZES[..if self.huge == 0 { 1 } else { 3 }]
+    }
+
+    /// Position `(set, way)` of the entry covering `va` in `asid`,
+    /// probing sizes in order.
+    #[inline]
+    fn find(&self, asid: Asid, va: VirtAddr) -> Option<(usize, usize)> {
+        self.probe_sizes().iter().find_map(|&size| {
+            let vpn = Self::region_vpn(va, size);
+            let set = self.set_index(vpn);
+            let way = self.sets[set].iter().position(|e| e.is(asid, vpn, size))?;
+            Some((set, way))
+        })
     }
 
     /// Look up `va` for `asid`. On a hit, returns the mapping and
     /// refreshes its LRU stamp. The *caller* (the MMU) charges costs
     /// and counts hits/misses.
+    #[inline]
     pub fn lookup(&mut self, asid: Asid, va: VirtAddr) -> Option<(FrameNo, PageSize, PteFlags)> {
         self.tick += 1;
-        let tick = self.tick;
-        let base_vpn = Self::region_vpn(va, PageSize::Base);
-        // Per-ASID last-translation cache: revalidate the remembered
-        // slot before any hash probe. A stale slot simply fails the
-        // key comparison and falls through.
-        if let Some((a, vpn, set, way)) = self.last[last_slot(asid)] {
-            if a == asid && vpn == base_vpn {
-                if let Some(e) = self.sets[set as usize].get_mut(way as usize) {
-                    if e.asid == asid && e.vpn == vpn && e.size == PageSize::Base {
-                        e.stamp = tick;
-                        return Some((e.frame, e.size, e.flags));
-                    }
-                }
-            }
-        }
-        // A unified TLB probes with each supported page size (real
-        // hardware splits structures; the effect is the same).
-        for size in [PageSize::Base, PageSize::Huge2M, PageSize::Huge1G] {
-            let vpn = if size == PageSize::Base {
-                base_vpn
-            } else {
-                Self::region_vpn(va, size)
-            };
-            if let Some(&(set, way)) = self.index.get(&(asid, vpn, size)) {
-                let e = &mut self.sets[set as usize][way as usize];
-                debug_assert!(e.asid == asid && e.vpn == vpn && e.size == size);
-                e.stamp = tick;
-                if size == PageSize::Base {
-                    self.last[last_slot(asid)] = Some((asid, vpn, set, way));
-                }
-                return Some((e.frame, e.size, e.flags));
-            }
-        }
-        None
+        let (set, way) = self.find(asid, va)?;
+        let e = &mut self.sets[set][way];
+        e.stamp = self.tick;
+        Some((e.frame, e.size, e.flags))
     }
 
     /// Non-mutating probe: would [`lookup`](Self::lookup) hit, and
     /// with what? Probes the same size order but refreshes no LRU
-    /// stamp and touches no accelerator state, so the uniformity check
-    /// of a fast-forwarded run is free of side effects.
+    /// stamp, so the uniformity check of a fast-forwarded run is free
+    /// of side effects.
     pub fn peek(&self, asid: Asid, va: VirtAddr) -> Option<(FrameNo, PageSize, PteFlags)> {
-        for size in [PageSize::Base, PageSize::Huge2M, PageSize::Huge1G] {
-            let vpn = Self::region_vpn(va, size);
-            if let Some(&(set, way)) = self.index.get(&(asid, vpn, size)) {
-                let e = &self.sets[set as usize][way as usize];
-                debug_assert!(e.asid == asid && e.vpn == vpn && e.size == size);
-                return Some((e.frame, e.size, e.flags));
-            }
-        }
-        None
+        let (set, way) = self.find(asid, va)?;
+        let e = &self.sets[set][way];
+        Some((e.frame, e.size, e.flags))
     }
 
     /// Advance the LRU clock by `n` ticks without touching any entry.
@@ -218,53 +191,53 @@ impl Tlb {
             flags,
             stamp: self.tick,
         };
-        if let Some(&(s, w)) = self.index.get(&(asid, vpn, size)) {
-            self.sets[s as usize][w as usize] = entry;
+        let assoc = self.assoc;
+        let ways = &mut self.sets[set];
+        if let Some(e) = ways.iter_mut().find(|e| e.is(asid, vpn, size)) {
+            *e = entry;
             return;
         }
-        let ways = self.sets[set].len();
-        if ways < self.assoc {
-            self.sets[set].push(entry);
-            self.index
-                .insert((asid, vpn, size), (set as u32, ways as u32));
+        self.huge += usize::from(size != PageSize::Base);
+        if ways.len() < assoc {
+            if ways.capacity() == 0 {
+                ways.reserve_exact(assoc);
+            }
+            ways.push(entry);
             return;
         }
         // First minimum stamp wins, as in a front-to-back linear scan.
-        let lru = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(i, _)| i)
-            .expect("nonempty set");
-        let old = self.sets[set][lru];
-        self.sets[set][lru] = entry;
-        self.index.remove(&(old.asid, old.vpn, old.size));
-        self.index
-            .insert((asid, vpn, size), (set as u32, lru as u32));
+        // Selects rather than branches: which way is older is
+        // unpredictable, so a branchy scan mispredicts.
+        let (mut lru, mut oldest) = (0, ways[0].stamp);
+        for (i, e) in ways.iter().enumerate().skip(1) {
+            let older = e.stamp < oldest;
+            lru = if older { i } else { lru };
+            oldest = if older { e.stamp } else { oldest };
+        }
+        self.huge -= usize::from(ways[lru].size != PageSize::Base);
+        ways[lru] = entry;
     }
 
     /// Invalidate the entry covering `va` in `asid` (INVLPG).
     pub fn invalidate_page(&mut self, asid: Asid, va: VirtAddr) {
-        for size in [PageSize::Base, PageSize::Huge2M, PageSize::Huge1G] {
+        for &size in self.probe_sizes() {
             let vpn = Self::region_vpn(va, size);
-            if self.index.remove(&(asid, vpn, size)).is_some() {
-                let set = self.set_index(vpn);
-                self.sets[set].retain(|e| !(e.asid == asid && e.vpn == vpn && e.size == size));
-                self.reindex_set(set);
+            let set = self.set_index(vpn);
+            if let Some(way) = self.sets[set].iter().position(|e| e.is(asid, vpn, size)) {
+                self.sets[set].remove(way);
+                self.huge -= usize::from(size != PageSize::Base);
             }
         }
     }
 
     /// Invalidate every entry belonging to `asid`.
     pub fn flush_asid(&mut self, asid: Asid) {
-        self.last[last_slot(asid)] = None;
-        self.index.retain(|&(a, _, _), _| a != asid);
-        for set in 0..self.sets.len() {
-            if self.sets[set].iter().any(|e| e.asid == asid) {
-                self.sets[set].retain(|e| e.asid != asid);
-                self.reindex_set(set);
-            }
+        let mut huge = 0;
+        for set in &mut self.sets {
+            set.retain(|e| e.asid != asid);
+            huge += set.iter().filter(|e| e.size != PageSize::Base).count();
         }
+        self.huge = huge;
     }
 
     /// Invalidate everything.
@@ -272,23 +245,7 @@ impl Tlb {
         for set in &mut self.sets {
             set.clear();
         }
-        self.index.clear();
-        self.last = [None; LAST_SLOTS];
-    }
-
-    /// Check that the hash index mirrors the set arrays exactly
-    /// (test/debug support; O(capacity)).
-    pub fn check_index_consistency(&self) -> bool {
-        let live: usize = self.sets.iter().map(Vec::len).sum();
-        if live != self.index.len() {
-            return false;
-        }
-        self.sets.iter().enumerate().all(|(set, ways)| {
-            ways.iter().enumerate().all(|(way, e)| {
-                self.index.get(&(e.asid, e.vpn, e.size))
-                    == Some(&(set as u32, way as u32))
-            })
-        })
+        self.huge = 0;
     }
 }
 

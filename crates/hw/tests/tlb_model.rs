@@ -3,7 +3,7 @@
 //! that was not inserted (and not since invalidated) — soundness over
 //! arbitrary insert/lookup/invalidate/flush interleavings.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -12,13 +12,15 @@ use o1_hw::{
     PAGE_SIZE,
 };
 
-/// Reference TLB: the plain linear-scan implementation the production
-/// [`Tlb`] replaced with a hash index and a last-translation cache.
-/// Semantics are pinned here entry for entry — one shared `tick`,
-/// stamp refresh on hit, probe order Base → 2M → 1G, update-in-place
-/// on duplicate insert, and LRU eviction of the *first* minimum-stamp
-/// way — so the equivalence property below proves the fast paths
-/// never change a hit, miss, or eviction victim.
+/// Reference TLB: the plain linear-scan model of the production
+/// [`Tlb`], which scans its sets the same way but skips the huge-page
+/// probes while no huge entry is resident and picks eviction victims
+/// with a branch-free scan. Semantics are pinned here entry for entry
+/// — one shared `tick`, stamp refresh on hit, probe order Base → 2M →
+/// 1G, update-in-place on duplicate insert, and LRU eviction of the
+/// *first* minimum-stamp way — so the equivalence property below
+/// proves those shortcuts never change a hit, miss, or eviction
+/// victim.
 struct RefTlb {
     sets: Vec<Vec<RefEntry>>,
     assoc: usize,
@@ -224,6 +226,33 @@ fn eq_op() -> impl Strategy<Value = EqOp> {
     ]
 }
 
+/// Structural invariants of the production TLB: each entry sits in the
+/// set its page indexes, no set holds more than `assoc` ways, no
+/// `(asid, vpn, size)` key is resident twice, and the resident-huge
+/// counter the probes trust matches the entries.
+fn check_structure(tlb: &Tlb, sets: usize, assoc: usize) {
+    let mut per_set = vec![0usize; sets];
+    let mut keys = HashSet::new();
+    let mut huge = 0;
+    for (set, asid, vpn, size) in tlb.entries() {
+        prop_assert_eq!(set, (vpn.0 as usize) & (sets - 1), "entry in the wrong set");
+        per_set[set] += 1;
+        prop_assert!(
+            per_set[set] <= assoc,
+            "set {} holds more than {} ways",
+            set,
+            assoc
+        );
+        prop_assert!(
+            keys.insert((asid, vpn, size)),
+            "key resident twice: {:?}",
+            (asid, vpn, size)
+        );
+        huge += usize::from(size != PageSize::Base);
+    }
+    prop_assert_eq!(tlb.huge_entries(), huge, "huge-entry counter out of sync");
+}
+
 fn eq_size(tag: u8) -> PageSize {
     match tag {
         0 => PageSize::Base,
@@ -234,10 +263,12 @@ fn eq_size(tag: u8) -> PageSize {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-    /// The production TLB (hash-indexed sets + per-ASID last-translation
-    /// cache) is observationally identical to the linear-scan reference:
-    /// same hits, same misses, same translation on every hit, same
-    /// occupancy after every operation — i.e. the same eviction victims.
+    /// The production TLB (huge-probe skipping, branch-free victim
+    /// choice, lazily allocated sets) is observationally identical to
+    /// the linear-scan reference: same hits, same misses, same
+    /// translation on every hit, same occupancy after every operation —
+    /// i.e. the same eviction victims. After every operation its sets
+    /// also hold their structural invariants (see `check_structure`).
     #[test]
     fn tlb_matches_linear_scan_reference(
         ops in proptest::collection::vec(eq_op(), 1..300),
@@ -275,7 +306,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(tlb.occupancy(), reference.occupancy(), "occupancy diverged");
-            prop_assert!(tlb.check_index_consistency(), "hash index out of sync with ways");
+            check_structure(&tlb, 1 << sets, assoc);
         }
     }
 }

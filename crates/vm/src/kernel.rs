@@ -1627,7 +1627,7 @@ impl BaselineKernel {
         // writes happen per page below; charges land once, after.
         let walk_flags = pte_for(prot);
         let leaf_flags = if write {
-            // `map` writes the PTE, then `mark_accessed` sets A/D in
+            // `map` writes the PTE, then the walk sets A/D on that slot in
             // place charge-free — fused into one leaf write here.
             walk_flags.union(PteFlags::ACCESSED).union(PteFlags::DIRTY)
         } else {
@@ -1661,7 +1661,6 @@ impl BaselineKernel {
         let swap_on = self.swap_enabled;
         let mut at = va.0;
         let mut idx = 0u64;
-        let mut last_page = va;
         let mut nodes_total = 0u64;
         // Latency grouping: consecutive pages with equal (splits,
         // nodes-created) cost the same, so they compress into one
@@ -1718,7 +1717,6 @@ impl BaselineKernel {
                         grp_ns = ns_fixed + u64::from(splits) * ns_split + nodes * ns_node;
                     }
                 }
-                last_page = page;
                 idx += 1;
                 at = at.wrapping_add_signed(stride);
             })
@@ -1753,7 +1751,6 @@ impl BaselineKernel {
             machine.perf.loads += span;
             machine.charge_opn(CostKind::MemReadDram, span);
         }
-        mmu.replay_fault_run_walk_cache(pt, root, last_page);
         debug_assert!(
             !traced || recorded == machine.now().since(t0),
             "bulk-fault replay must conserve the clock"

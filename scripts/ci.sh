@@ -8,8 +8,9 @@
 #                           # committed BENCH_figures.json (exit 1 on
 #                           # any mean/percentile/count regression),
 #                           # byte-compare simulated series with
-#                           # GOLDEN_figures.json and hold host-measured
+#                           # GOLDEN_figures.json, hold host-measured
 #                           # series under the HOST_figures.json ceiling
+#                           # and check every simbench workload
 #
 # The repo builds offline: all external dev-deps resolve to the
 # in-tree shims under crates/shims/, so no network access is needed.
@@ -170,6 +171,20 @@ if [ "${1:-}" = "--gate" ]; then
                 exit 1
             }
         }' "$out/hostmem.txt"
+    echo "==> simbench correctness gate (every workload, 1 s, default seed)"
+    # Each run checks loads against an oracle, frees back to the boot
+    # frame count, compares its digest with the one recorded for the
+    # default seed in simbench/src/digests.rs and replays a prefix with
+    # fast-forward off. A failed check exits 1; the result line (the
+    # last line of stdout) must also say so.
+    for w in tenant_fleet resident_access region_churn layer_ops; do
+        cargo run --quiet --release --offline --manifest-path simbench/Cargo.toml -- \
+            --workload "$w" --seconds 1 --trace 0 >"$out/simbench_$w.txt"
+        if ! tail -n 1 "$out/simbench_$w.txt" | grep -q '"correct": true'; then
+            echo "ci.sh: simbench $w did not report \"correct\": true" >&2
+            exit 1
+        fi
+    done
     echo "ci.sh: perf gate OK"
     exit 0
 fi
