@@ -1376,12 +1376,9 @@ pub fn fig_hostmem() -> Figure {
     fig
 }
 
-/// Tenant lifecycles the `fig_service` latency fleets stream by
-/// default, split 1:2:2 over baseline / fom-ranges / fom-sharedpt
+/// Tenant lifecycles the `fig_service` latency fleets stream,
+/// split 1:2:2 over baseline / fom-ranges / fom-sharedpt
 /// (the two populate-only gauge fleets add another fifth on top).
-/// `O1_SERVICE_TENANTS` overrides the total for smoke runs — the CI
-/// gate uses a reduced fleet and byte-compares it against
-/// `--no-fastforward` at the same size.
 pub const SERVICE_TENANTS: u64 = 1_000_000;
 
 /// Concurrent tenants alive at once in every `fig_service` fleet.
@@ -1406,11 +1403,6 @@ pub fn fig_service() -> Figure {
         "percentile | checkpoint | CPUs",
         "ns | KiB | total ns",
     );
-    let tenants = std::env::var("O1_SERVICE_TENANTS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v >= 100)
-        .unwrap_or(SERVICE_TENANTS);
     const APPS: u64 = 4096;
     const THETA: f64 = 0.9;
     const SEED: u64 = 17;
@@ -1448,9 +1440,9 @@ pub fn fig_service() -> Figure {
     // Latency fleets: the faulting path the bulk-fault prover
     // compresses; per-tenant ns are simulated clock deltas, so the
     // ff-vs-noff CI gate holds them byte-identical.
-    let t_base = tenants / 5;
-    let t_ranges = tenants * 2 / 5;
-    let t_shared = tenants - t_base - t_ranges;
+    let t_base = SERVICE_TENANTS / 5;
+    let t_ranges = SERVICE_TENANTS * 2 / 5;
+    let t_shared = SERVICE_TENANTS - t_base - t_ranges;
     let s_lat_base = {
         let mut k = service_baseline(4);
         let r = drive_service_fleet(
@@ -1506,7 +1498,7 @@ pub fn fig_service() -> Figure {
         run(&mut s);
         s
     }
-    let t_gauge = (tenants / 10).max(100);
+    let t_gauge = SERVICE_TENANTS / 10;
     let s_gauge_base = gauge_series("baseline host live over churn (KiB)", |s| {
         let mut k = service_baseline(4);
         let live0 = o1_obs::hostmem::snapshot().live_bytes;

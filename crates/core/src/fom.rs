@@ -683,15 +683,6 @@ impl FomKernel {
             let (mech, mut ctx) = self.seam();
             let base = mech.base_va(&mut ctx, pid, &extents, total_pages)?;
             for fe in &extents {
-                // Bulk-install fast path: a mechanism with uniform
-                // placement installs the whole extent with aggregate
-                // charges; a refusal falls back to the interpreted
-                // per-page install, charge-identically.
-                if ctx.machine.fastforward()
-                    && mech.install_run(&mut ctx, pid, id, *fe, base, prot, &mut pieces)?
-                {
-                    continue;
-                }
                 mech.install_extent(&mut ctx, pid, id, *fe, base, prot, &mut pieces)?;
             }
             base
@@ -1873,7 +1864,7 @@ mod tests {
     #[test]
     fn memsys_trait_roundtrip() {
         // Monomorphic MemSys usage — the shape every figure hot path
-        // compiles down to (erasure lives behind `o1_vm::Erased`).
+        // compiles down to (erased callers pass `&mut dyn MemSys`).
         fn roundtrip(sys: &mut impl MemSys) {
             let pid = sys.create_process().unwrap();
             let va = sys.alloc(pid, 8 * PAGE_SIZE, false).unwrap();

@@ -12,8 +12,14 @@
 pub mod fom;
 pub mod heap;
 pub(crate) mod mech;
-pub mod sync;
 
 pub use fom::{ErasePolicy, FomBuilder, FomConfig, FomKernel, MapMech, FOM_MMAP_BASE, PBM_BASE};
 pub use heap::FomHeap;
-pub use sync::SyncFom;
+
+// The kernel owns all of its state and holds nothing thread-bound, so
+// a caller can move it to another thread or share it behind
+// `std::sync::Mutex`.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<FomKernel>();
+};

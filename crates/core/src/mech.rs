@@ -102,29 +102,6 @@ pub(crate) trait MapMechanism: std::fmt::Debug + Send {
         pieces: &mut Vec<Piece>,
     ) -> Result<(), VmError>;
 
-    /// Bulk-install prover for one extent: install **all** of the
-    /// extent's mappings with aggregate charges byte-identical to
-    /// [`install_extent`](Self::install_extent), or refuse
-    /// (`Ok(false)`) **without charging or mutating simulated state**
-    /// so the kernel falls back to the interpreted install. Only
-    /// called when fast-forward is enabled. Mechanisms whose placement
-    /// is not uniform across an extent — tier residency, per-access
-    /// caching side state — must refuse.
-    #[allow(clippy::too_many_arguments)]
-    fn install_run(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        let _ = (ctx, pid, id, fe, base, prot, pieces);
-        Ok(false)
-    }
-
     /// Tear down the pieces of one unmapped mapping (called before the
     /// kernel's single ASID shootdown).
     fn teardown_pieces(
@@ -536,44 +513,6 @@ impl MapMechanism for PageTablesMech {
         });
         Ok(())
     }
-
-    /// Plain page tables place every extent uniformly (va-contiguous,
-    /// pa-contiguous, one flags word), so the whole install compresses
-    /// to one aggregate charge block via
-    /// [`PageTables::map_extent_run`](o1_hw::PageTables::map_extent_run).
-    fn install_run(
-        &mut self,
-        ctx: &mut MechCtx<'_>,
-        pid: Pid,
-        _id: FileId,
-        fe: FileExtent,
-        base: VirtAddr,
-        prot: Prot,
-        pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        if fe.phys.frames < 2 {
-            return Ok(false); // nothing to compress
-        }
-        let va = base + fe.file_page * PAGE_SIZE;
-        let root = ctx.procs.get(pid).ok_or(VmError::NoProcess)?.root;
-        ctx.pt
-            .map_extent_run(
-                ctx.machine,
-                root,
-                va,
-                fe.phys.start,
-                fe.phys.frames,
-                pte_for(prot),
-                true,
-            )
-            .map_err(|_| VmError::BadRange)?;
-        pieces.push(Piece::Pages {
-            va,
-            bytes: fe.phys.bytes(),
-        });
-        ctx.machine.note_ffwd_run(fe.phys.frames);
-        Ok(true)
-    }
 }
 
 /// Pre-created page-table subtrees shared by pointer swing.
@@ -922,24 +861,6 @@ impl MapMechanism for UtopiaMech {
         None
     }
 
-    fn install_run(
-        &mut self,
-        _ctx: &mut MechCtx<'_>,
-        _pid: Pid,
-        _id: FileId,
-        _fe: FileExtent,
-        _base: VirtAddr,
-        _prot: Prot,
-        _pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        // Placement is not uniform under the hybrid: the direct-mapped
-        // fast region holds per-ASID residents that future conflict
-        // evictions depend on, so an install's observable effect is not
-        // a pure function of the extent. Always interpret; refusal is
-        // charge-free.
-        Ok(false)
-    }
-
     fn fgrow_limit_ns(&self) -> u64 {
         2_000_000
     }
@@ -1225,24 +1146,6 @@ impl MapMechanism for ObaseMech {
             bytes: fe.phys.bytes(),
         });
         Ok(())
-    }
-
-    fn install_run(
-        &mut self,
-        _ctx: &mut MechCtx<'_>,
-        _pid: Pid,
-        _id: FileId,
-        _fe: FileExtent,
-        _base: VirtAddr,
-        _prot: Prot,
-        _pieces: &mut Vec<Piece>,
-    ) -> Result<bool, VmError> {
-        // Tiered placement is not uniform: the extent's frames resolve
-        // to its DRAM copy or its NVM home depending on promotion
-        // state, a re-install may force a demotion first, and every
-        // install must be recorded for future remaps. Always
-        // interpret; refusal is charge-free.
-        Ok(false)
     }
 
     fn teardown_pieces(

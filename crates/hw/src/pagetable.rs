@@ -573,64 +573,6 @@ impl PageTables {
         }
     }
 
-    /// Run-compressed [`map_extent`](Self::map_extent): identical
-    /// mappings, identical total charges, one aggregate charge block
-    /// instead of per-entry calls. On a mid-extent error the pages
-    /// already installed are charged (as the interpreter would have)
-    /// before the error propagates.
-    #[allow(clippy::too_many_arguments)]
-    pub fn map_extent_run(
-        &mut self,
-        m: &mut Machine,
-        root: PtNodeId,
-        va: VirtAddr,
-        frame: FrameNo,
-        npages: u64,
-        flags: PteFlags,
-        use_huge: bool,
-    ) -> Result<u64, MapError> {
-        if !va.is_aligned(PAGE_SIZE) {
-            return Err(MapError::Misaligned);
-        }
-        let mut entries = 0u64;
-        let mut created = 0u64;
-        let mut va = va;
-        let mut frame = frame;
-        let mut left = npages;
-        let mut result = Ok(());
-        while left > 0 {
-            let size = if use_huge {
-                Self::best_size(va, frame, left)
-            } else {
-                PageSize::Base
-            };
-            match self.map_uncharged(root, va, frame, size, flags) {
-                Ok(n) => created += n,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            let pages = size.bytes() / PAGE_SIZE;
-            va += size.bytes();
-            frame = frame + pages;
-            left -= pages;
-            entries += 1;
-        }
-        // Aggregate replay of what map() would have charged per page.
-        // Zero-count charges are skipped so no ledger row appears that
-        // the interpreter would not have created.
-        if created > 0 {
-            m.charge_opn(CostKind::PtNodeAlloc, created);
-            m.perf.pt_nodes_alloced += created;
-        }
-        if created + entries > 0 {
-            m.charge_opn(CostKind::PteWrite, created + entries);
-            m.perf.pte_writes += created + entries;
-        }
-        result.map(|()| entries)
-    }
-
     /// Prove that the `pages` consecutive base pages starting at `va`
     /// (which must be page-aligned) have **no** entry installed — the
     /// page-table half of the bulk-populate proof. An [`Entry::None`]

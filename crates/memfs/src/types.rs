@@ -12,7 +12,7 @@ pub struct FileId(pub u64);
 /// files provide transcendent-memory-style reclamation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum FileClass {
-    /// Erased on crash/restart (backs anonymous memory).
+    /// Wiped on crash/restart (backs anonymous memory).
     Volatile,
     /// Survives crashes and restarts.
     Persistent,

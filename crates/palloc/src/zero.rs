@@ -374,7 +374,7 @@ mod tests {
         let (_, free_large) = m.timed(|m| a.free(m, large));
         assert_eq!(free_small, free_large, "key drop is O(1)");
         assert_eq!(a.keys_dropped(), 2);
-        // Erased data is unreadable (reads as zero).
+        // Crypto-erased data is unreadable (reads as zero).
         assert!(m.phys.frame_is_zero(large.start));
         assert_eq!(m.perf.bytes_zeroed_fg, 0);
     }

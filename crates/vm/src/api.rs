@@ -272,104 +272,6 @@ impl<M: MemSys> Drop for OnCpu<'_, M> {
     }
 }
 
-/// Thin type-erasure facade over [`MemSys`].
-///
-/// The workload drivers are generic (`impl MemSys`), so every kernel ×
-/// driver pair monomorphizes on the figure hot path. Tools that
-/// genuinely need erasure — heterogeneous kernel lists, trait-object
-/// storage — wrap a `&mut dyn MemSys` in `Erased` and pass *that* to
-/// the generic drivers. Every method delegates through the vtable, so
-/// kernel overrides (the fast-forward engines) are reached exactly as
-/// in the monomorphic path; the equivalence test in
-/// `tests/drivers_equiv.rs` proves the two paths produce identical
-/// ledgers.
-pub struct Erased<'a>(pub &'a mut dyn MemSys);
-
-impl MemSys for Erased<'_> {
-    fn sys_name(&self) -> &'static str {
-        self.0.sys_name()
-    }
-
-    fn machine(&self) -> &Machine {
-        self.0.machine()
-    }
-
-    fn machine_mut(&mut self) -> &mut Machine {
-        self.0.machine_mut()
-    }
-
-    fn stats(&self) -> PerfSnapshot {
-        self.0.stats()
-    }
-
-    fn phase(&mut self, label: &'static str) {
-        self.0.phase(label);
-    }
-
-    fn current_cpu(&self) -> CpuId {
-        self.0.current_cpu()
-    }
-
-    fn cpu_count(&self) -> u32 {
-        self.0.cpu_count()
-    }
-
-    fn set_cpu(&mut self, cpu: CpuId) {
-        self.0.set_cpu(cpu);
-    }
-
-    fn create_process(&mut self) -> Result<Pid, VmError> {
-        self.0.create_process()
-    }
-
-    fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        self.0.destroy_process(pid)
-    }
-
-    fn alloc(&mut self, pid: Pid, bytes: u64, populate: bool) -> Result<VirtAddr, VmError> {
-        self.0.alloc(pid, bytes, populate)
-    }
-
-    fn release(&mut self, pid: Pid, va: VirtAddr, bytes: u64) -> Result<(), VmError> {
-        self.0.release(pid, va, bytes)
-    }
-
-    fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        self.0.load(pid, va)
-    }
-
-    fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        self.0.store(pid, va, value)
-    }
-
-    fn access_span(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        stride: i64,
-        len: u64,
-        write: bool,
-        first_value: u64,
-    ) -> Result<(), VmError> {
-        self.0.access_span(pid, va, stride, len, write, first_value)
-    }
-
-    fn access_runs(
-        &mut self,
-        pid: Pid,
-        base: VirtAddr,
-        runs: &[AccessRun],
-        write: bool,
-        first_value: u64,
-    ) -> Result<u64, VmError> {
-        self.0.access_runs(pid, base, runs, write, first_value)
-    }
-
-    fn access_batch(&mut self, pid: Pid, addrs: &[VirtAddr], write: bool) -> Result<(), VmError> {
-        self.0.access_batch(pid, addrs, write)
-    }
-}
-
 impl MemSys for crate::kernel::BaselineKernel {
     fn sys_name(&self) -> &'static str {
         "baseline"
@@ -495,8 +397,8 @@ mod tests {
             run_generic(&mut *pinned);
         }
         assert_eq!(k.current_cpu(), CpuId::BOOT, "drop restores the CPU");
-        // Erased facade routes CPU placement through the vtable.
-        let mut erased = Erased(&mut k);
+        // A trait object routes CPU placement through the vtable.
+        let erased: &mut dyn MemSys = &mut k;
         erased.set_cpu(CpuId(2));
         assert_eq!(erased.current_cpu(), CpuId(2));
         k.set_cpu(CpuId::BOOT);

@@ -21,7 +21,7 @@ pub mod runs;
 pub mod types;
 pub mod vma;
 
-pub use api::{validate_machine_config, Erased, MemSys, OnCpu};
+pub use api::{validate_machine_config, MemSys, OnCpu};
 pub use proc_table::ProcTable;
 pub use runs::AccessRun;
 pub use kernel::{BaselineBuilder, BaselineConfig, BaselineKernel, ThpMode, MMAP_BASE};

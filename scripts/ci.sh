@@ -55,30 +55,17 @@ if [ "${1:-}" = "--gate" ]; then
         exit 1
     fi
     echo "trajectory: $new_entries entries (HEAD had $old_entries)"
-    echo "==> fast-forward gate (fig_sweep bytes, --no-fastforward vs default)"
+    echo "==> fast-forward gate (full-suite bytes, --no-fastforward vs default)"
     # Run-compressed execution is an escape-hatched optimisation: the
-    # interpreted run must produce byte-identical enriched JSON. Any
-    # difference means the fast path changed a simulated number.
+    # interpreted run must produce byte-identical enriched JSON for
+    # every figure. Any difference means a fast-forward engine changed
+    # a simulated number.
     cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_sweep --latency --attrib --json "$out/ff.json" \
+        --latency --attrib --json "$out/ff.json" --no-bench >/dev/null
+    cargo run --release -p o1-bench --bin figures -- \
+        --latency --attrib --no-fastforward --json "$out/noff.json" \
         --no-bench >/dev/null
-    cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_sweep --latency --attrib --no-fastforward \
-        --json "$out/noff.json" --no-bench >/dev/null
     cmp "$out/ff.json" "$out/noff.json"
-    echo "==> bulk-fault gate (small-fleet fig_service, --no-fastforward vs default)"
-    # The bulk-fault prover compresses cold-launch miss spans; a
-    # reduced-tenant fleet must still byte-match the interpreter,
-    # enriched JSON and all. (The latency fleets fault through the
-    # fast path; the host-heap gauges are populate-only and therefore
-    # fast-forward-independent by construction — see fig_hostmem.)
-    O1_SERVICE_TENANTS=50000 cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_service --latency --attrib --json "$out/svc_ff.json" \
-        --no-bench >/dev/null
-    O1_SERVICE_TENANTS=50000 cargo run --release -p o1-bench --bin figures -- \
-        --fig fig_service --latency --attrib --no-fastforward \
-        --json "$out/svc_noff.json" --no-bench >/dev/null
-    cmp "$out/svc_ff.json" "$out/svc_noff.json"
     echo "==> golden append gate (committed figure bytes survive verbatim)"
     # A PR may append a new figure to GOLDEN_figures.json, but the
     # bytes of every figure already committed must survive: the HEAD

@@ -4,7 +4,7 @@
 
 use o1mem::core::{FomKernel, MapMech};
 use o1mem::memfs::FileClass;
-use o1mem::vm::{Backing, BaselineKernel, Erased, MapFlags, MemSys, Prot};
+use o1mem::vm::{Backing, BaselineKernel, MapFlags, MemSys, Prot};
 use o1mem::PAGE_SIZE;
 
 #[test]
@@ -186,13 +186,9 @@ fn mixed_kernels_drive_same_workload_module() {
     let f = drive_launch_storm(&mut fom, 8, 128).unwrap();
     assert!(b.ns > f.ns);
     // And both kernels are still functional afterwards — driven
-    // through the erasure facade, since this heterogeneous list is
-    // exactly the case `Erased` exists for.
-    for mut sys in [
-        Erased(&mut base as &mut dyn MemSys),
-        Erased(&mut fom as &mut dyn MemSys),
-    ] {
-        let m = measure(&mut sys, |s| {
+    // through trait objects, since this list is heterogeneous.
+    for sys in [&mut base as &mut dyn MemSys, &mut fom as &mut dyn MemSys] {
+        let m = measure(sys, |s| {
             let pid = s.create_process().unwrap();
             let va = s.alloc(pid, PAGE_SIZE, true)?;
             s.store(pid, va, 9)?;

@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use o1mem::core::{FomKernel, MapMech};
-use o1mem::hw::ObsMode;
-use o1mem::vm::{BaselineKernel, CpuId, MemSys, ThpMode};
+use o1mem::hw::{CostKind, ObsMode};
+use o1mem::vm::{BaselineKernel, CpuId, MemSys, ReclaimPolicy, ThpMode};
 use o1mem::workloads::{
     drive_access, drive_churn, drive_launch_storm, drive_launch_storm_migrating,
     drive_service_fleet, AccessPattern,
@@ -89,8 +89,7 @@ fn assert_equivalent(
 }
 
 /// Two identically-configured kernels behind genuine type erasure —
-/// exactly the heterogeneous-list use case the `Erased` facade and
-/// `Box<dyn MemSys>` exist for.
+/// the heterogeneous-list use case `Box<dyn MemSys>` exists for.
 type KernelPair = (Box<dyn MemSys>, Box<dyn MemSys>);
 
 fn baseline_pair(thp: ThpMode) -> KernelPair {
@@ -400,5 +399,119 @@ fn tenant_churn_keeps_host_heap_bounded_by_live_processes() {
             worst < 32 << 20,
             "{name}: churning 100k tenants grew the live host heap by {worst} bytes"
         );
+    }
+}
+
+/// Assert that every `PerfCounters` field that mirrors a ledger cost
+/// kind equals the ledger's summed count for that kind. Two charge
+/// sites are known not to mirror, and no workload here reaches them:
+/// `Journal::replace` (a checkpoint or recovery) charges its
+/// `JournalCommit` without counting a journal record, and
+/// `Pmfs::recover` charges one `MemReadNvm` per replayed record
+/// without counting a load.
+fn assert_counters_mirror_ledger(sys: &mut dyn MemSys, what: &str) {
+    use CostKind::*;
+    let c = sys.stats().counters;
+    let report = sys.machine_mut().take_trace().expect("ledger on");
+    let mirrors: [(&str, u64, &[CostKind]); 14] = [
+        ("tlb_hits", c.tlb_hits, &[TlbHit]),
+        ("rtlb_hits", c.rtlb_hits, &[RtlbHit]),
+        ("pt_nodes_alloced", c.pt_nodes_alloced, &[PtNodeAlloc]),
+        ("pt_nodes_freed", c.pt_nodes_freed, &[PtNodeFree]),
+        (
+            "pte_writes + range_installs",
+            c.pte_writes + c.range_installs,
+            &[PteWrite],
+        ),
+        ("syscalls", c.syscalls, &[Syscall]),
+        ("page_meta_updates", c.page_meta_updates, &[PageMetaUpdate]),
+        (
+            "tlb_shootdowns",
+            c.tlb_shootdowns,
+            &[TlbFlushAsid, TlbInvlpg],
+        ),
+        ("loads", c.loads, &[MemReadDram, MemReadNvm]),
+        ("stores", c.stores, &[MemWriteDram, MemWriteNvm]),
+        (
+            "journal_records",
+            c.journal_records,
+            &[JournalRecord, JournalCommit],
+        ),
+        ("reclaim_scanned", c.reclaim_scanned, &[ReclaimScanPage]),
+        ("pages_swapped_out", c.pages_swapped_out, &[SwapOutPage]),
+        ("pages_swapped_in", c.pages_swapped_in, &[SwapInPage]),
+    ];
+    for (field, counter, kinds) in mirrors {
+        let charged: u64 = report
+            .rows
+            .iter()
+            .filter(|r| kinds.contains(&r.kind))
+            .map(|r| r.count)
+            .sum();
+        assert_eq!(counter, charged, "{what}: {field} vs its ledger kinds");
+    }
+}
+
+/// The counters kept next to the ledger must count exactly what the
+/// ledger counts, whichever engine executed the work: fast-forward on
+/// (`a`) and off (`b`) on every kernel.
+#[test]
+fn perf_counters_mirror_the_ledger_on_every_kernel() {
+    for (name, (mut a, mut b)) in all_kernel_pairs() {
+        b.machine_mut().set_fastforward(false);
+        for (mode, sys) in [("ff", &mut a), ("noff", &mut b)] {
+            let sys = sys.as_mut();
+            let pid = sys.create_process().unwrap();
+            let cold = sys.alloc(pid, 128 * PAGE_SIZE, false).unwrap();
+            let warm = sys.alloc(pid, 64 * PAGE_SIZE, true).unwrap();
+            for (pattern, _) in patterns() {
+                drive_access(sys, pid, cold, 128, &pattern, 42, true).unwrap();
+                drive_access(sys, pid, warm, 64, &pattern, 43, false).unwrap();
+            }
+            sys.release(pid, warm, 64 * PAGE_SIZE).unwrap();
+            drive_churn(sys, pid, 2, 3, 32).unwrap();
+            sys.destroy_process(pid).unwrap();
+            drive_launch_storm(sys, 3, 64).unwrap();
+            drive_service_fleet(sys, 300, 48, 64, 0.9, 17, false, |_| {}).unwrap();
+            // Utopia's fast region refuses every span proof.
+            let engaged = sys.machine().ffwd_accesses > 0;
+            assert!(
+                engaged == (mode == "ff") || name == "fom-Utopia",
+                "{name} {mode}: fast-forward engaged = {engaged}"
+            );
+            assert_counters_mirror_ledger(sys, &format!("{name} {mode}"));
+        }
+    }
+}
+
+/// Reclaim and swap mirror the ledger too, under real memory
+/// pressure: 400 pages written and read back through 128 frames of
+/// DRAM, on both reclaim policies.
+#[test]
+fn reclaim_and_swap_counters_mirror_the_ledger_under_pressure() {
+    for policy in [ReclaimPolicy::Clock, ReclaimPolicy::TwoQueue] {
+        for ff in [true, false] {
+            let mut k = BaselineKernel::builder()
+                .dram(128 * PAGE_SIZE)
+                .reclaim(policy)
+                .low_watermark_frames(16)
+                .swap(true)
+                .obs(ObsMode::On)
+                .build();
+            k.machine_mut().set_fastforward(ff);
+            let pid = MemSys::create_process(&mut k).unwrap();
+            let pages = 400u64;
+            let va = k.alloc(pid, pages * PAGE_SIZE, false).unwrap();
+            let sweep = AccessPattern::Sweep { sweeps: 2 };
+            drive_access(&mut k, pid, va, pages, &sweep, 5, true).unwrap();
+            drive_access(&mut k, pid, va, pages, &sweep, 6, false).unwrap();
+            let c = k.stats().counters;
+            assert!(c.reclaim_scanned > 0, "{policy:?}: reclaim ran");
+            assert!(
+                c.pages_swapped_out > 0 && c.pages_swapped_in > 0,
+                "{policy:?}: swapped"
+            );
+            assert_counters_mirror_ledger(&mut k, &format!("{policy:?} ff={ff}"));
+        }
     }
 }
