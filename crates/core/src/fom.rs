@@ -1035,6 +1035,18 @@ impl FomKernel {
     /// a program error (SIGSEGV), never demand paging.
     pub fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
         self.proc(pid)?;
+        self.resolve_verified(pid, va, access)
+    }
+
+    /// [`resolve`](Self::resolve) for a `pid` the caller has already
+    /// verified (a fom access cannot end its process, so one check
+    /// serves a whole run).
+    fn resolve_verified(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        access: Access,
+    ) -> Result<PhysAddr, VmError> {
         let result = {
             let (mech, mut ctx) = self.seam();
             mech.translate(&mut ctx, pid, va, access)
@@ -1054,40 +1066,67 @@ impl FomKernel {
 
     /// User-level 8-byte load.
     pub fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
+        self.proc(pid)?;
+        self.access_verified(pid, va, None)
+    }
+
+    /// User-level 8-byte store.
+    pub fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
+        self.proc(pid)?;
+        self.access_verified(pid, va, Some(value)).map(|_| ())
+    }
+
+    /// One interpreted access for a verified `pid`: a store of `value`
+    /// when given, else a load. Returns the loaded word (0 for a
+    /// store).
+    fn access_verified(
+        &mut self,
+        pid: Pid,
+        va: VirtAddr,
+        value: Option<u64>,
+    ) -> Result<u64, VmError> {
         let traced = self.machine.traced();
         let t0 = self.machine.op_start();
-        let pa = self.resolve(pid, va, Access::Read)?;
+        let access = if value.is_some() {
+            Access::Write
+        } else {
+            Access::Read
+        };
+        let pa = self.resolve_verified(pid, va, access)?;
         let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_load(tier);
-        let v = self.machine.phys.read_u64(pa);
+        let out = match value {
+            Some(v) => {
+                self.machine.charge_store(tier);
+                self.machine.phys.write_u64(pa, v);
+                0
+            }
+            None => {
+                self.machine.charge_load(tier);
+                self.machine.phys.read_u64(pa)
+            }
+        };
         if traced {
             // A fom access never demand-faults: every page is mapped at
             // allocation time, so the hit/fault split is degenerate here.
             self.machine.op_end(t0, OpKind::AccessHit, self.mech_str());
             self.poll_timeline();
         }
-        Ok(v)
-    }
-
-    /// User-level 8-byte store.
-    pub fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
-        let traced = self.machine.traced();
-        let t0 = self.machine.op_start();
-        let pa = self.resolve(pid, va, Access::Write)?;
-        let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_store(tier);
-        self.machine.phys.write_u64(pa, value);
-        if traced {
-            self.machine.op_end(t0, OpKind::AccessHit, self.mech_str());
-            self.poll_timeline();
-        }
-        Ok(())
+        Ok(out)
     }
 
     /// Run-compressed span execution: the file-only-memory twin of
     /// `BaselineKernel::access_span`. Translation-uniform prefixes are
-    /// fast-forwarded through [`Mmu::translate_run`]; everything else
-    /// is interpreted per access, so output is identical either way.
+    /// fast-forwarded through the mechanism's prover (by default
+    /// [`Mmu::translate_run`]); everything else is interpreted per
+    /// access, so output is identical either way.
+    ///
+    /// Eligibility is decided per run: the process is verified once,
+    /// the head syncs the CPU with every broadcast invalidation
+    /// ([`Mmu::run_prover_ready`]; an unsynced head interprets its
+    /// first access), and the prover is consulted only while
+    /// [`Mmu::run_can_share`] says two accesses of the run could
+    /// share a translation. There is no fault path, so no bulk-fault
+    /// probe either.
     pub fn access_span(
         &mut self,
         pid: Pid,
@@ -1097,12 +1136,18 @@ impl FomKernel {
         write: bool,
         first_value: u64,
     ) -> Result<(), VmError> {
+        if len == 0 {
+            return Ok(());
+        }
         let access = if write { Access::Write } else { Access::Read };
+        self.proc(pid)?;
+        let ff = self.machine.fastforward() && len >= 2;
+        let synced = ff && self.mmu.run_prover_ready();
         let mut k = 0u64;
         while k < len {
             let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            if self.machine.fastforward() && len - k >= 2 {
-                self.proc(pid)?;
+            if ff && len - k >= 2 && (k > 0 || synced) && self.mmu.run_can_share(stride) {
+                self.machine.ffwd_probes += 1;
                 let t0 = self.machine.op_start();
                 let proven = {
                     let (mech, mut ctx) = self.seam();
@@ -1117,11 +1162,7 @@ impl FomKernel {
                     continue;
                 }
             }
-            if write {
-                self.store(pid, a, first_value + k)?;
-            } else {
-                self.load(pid, a)?;
-            }
+            self.access_verified(pid, a, write.then_some(first_value + k))?;
             k += 1;
         }
         Ok(())
@@ -1333,6 +1374,7 @@ impl MemSys for FomKernel {
         // the per-run engine (same result, proven per prefix). A
         // mechanism without a whole-batch prover refuses charge-free.
         if self.machine.fastforward() && !runs.is_empty() {
+            self.machine.ffwd_probes += 1;
             let proven = {
                 let (mech, mut ctx) = self.seam();
                 mech.try_bulk_runs(&mut ctx, pid, base, runs, write, first_value)?

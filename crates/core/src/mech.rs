@@ -17,7 +17,11 @@
 //! * `translate_run` / `try_bulk_runs` are *provers*: they either
 //!   return a span whose charges are identical to interpreting each
 //!   access, or refuse **without charging or mutating simulated
-//!   state** (the interpreter fallback is charge-identical).
+//!   state** (the interpreter fallback is charge-identical). The
+//!   kernel calls `translate_run` only after its head-of-run epoch
+//!   sync (`Mmu::run_prover_ready`) and only while `Mmu::run_can_share`
+//!   holds; `try_bulk_runs` runs before any run head and makes that
+//!   sync itself.
 //! * `on_flush_asid` is called after every ASID shootdown the kernel
 //!   issues; a mechanism holding per-ASID translations (e.g. the
 //!   Utopia fast region) must drop them there.

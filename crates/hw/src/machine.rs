@@ -160,6 +160,11 @@ pub struct Machine {
     /// Accesses covered by fast-forwarded runs (the sum of
     /// [`Machine::op_end_n`] counts).
     pub ffwd_accesses: u64,
+    /// Fast-forward prover attempts: the kernels count one each time
+    /// they ask a prover (hit span, bulk fault, bulk populate, whole
+    /// batch), so `ffwd_probes − ffwd_runs` is the number of
+    /// refusals. Host-side observability like the two counters above.
+    pub ffwd_probes: u64,
 }
 
 impl Machine {
@@ -185,6 +190,7 @@ impl Machine {
             fastforward: fastforward_default(),
             ffwd_runs: 0,
             ffwd_accesses: 0,
+            ffwd_probes: 0,
         }
     }
 
@@ -398,10 +404,11 @@ impl Machine {
         if !self.timeline_due() {
             return;
         }
-        let mut gauges: Vec<(&'static str, u64)> = Vec::with_capacity(extra.len() + 3);
+        let mut gauges: Vec<(&'static str, u64)> = Vec::with_capacity(extra.len() + 4);
         gauges.push(("machine.backed_frames", self.phys.backed_frames() as u64));
         gauges.push(("machine.ffwd_runs", self.ffwd_runs));
         gauges.push(("machine.ffwd_accesses", self.ffwd_accesses));
+        gauges.push(("machine.ffwd_probes", self.ffwd_probes));
         gauges.extend_from_slice(extra);
         let clock_ns = self.clock_ns;
         if let Some(trace) = self.trace.as_mut() {

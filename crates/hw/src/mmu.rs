@@ -314,12 +314,15 @@ impl Mmu {
         }
     }
 
-    /// Fast-forward obligation check: true when the current CPU has
-    /// observed every broadcast invalidation, i.e. the prover may
-    /// assume "no concurrent invalidation overlaps this span". When
-    /// false the CPU syncs (so the *next* probe may pass) and the
-    /// caller must interpret — which is charge-identical, merely
-    /// slower on the host.
+    /// Fast-forward obligation check, made once at the head of each
+    /// run or batch: true when the current CPU has observed every
+    /// broadcast invalidation, i.e. a prover may assume "no concurrent
+    /// invalidation overlaps this span". When false the CPU syncs and
+    /// the caller must interpret the run's first access — which is
+    /// charge-identical, merely slower on the host. Either way the CPU
+    /// leaves synced, and stays so for the rest of the run: every
+    /// broadcast it initiates syncs it, and no other CPU acts
+    /// mid-run. The provers debug-assert that this call was made.
     pub fn run_prover_ready(&mut self) -> bool {
         let cur = &mut self.cpus[self.current.index()];
         if cur.synced_epoch == self.inval_epoch {
@@ -328,6 +331,27 @@ impl Mmu {
             cur.synced_epoch = self.inval_epoch;
             false
         }
+    }
+
+    /// Whether the current CPU has observed every broadcast so far.
+    fn synced(&self) -> bool {
+        self.cpus[self.current.index()].synced_epoch == self.inval_epoch
+    }
+
+    /// Per-run eligibility for [`translate_run`](Self::translate_run),
+    /// in O(1): can any two accesses of a run with byte stride
+    /// `stride` share one translation on the current CPU? No when
+    /// range translation is off, `|stride| ≥ PAGE_SIZE` (every access
+    /// touches a different base page) and the current CPU's TLB holds
+    /// no huge entry — then no span of two or more can be proven, and
+    /// the caller skips the probe. An interpreted access may fill a
+    /// huge entry, so callers re-read this per access; it is three
+    /// compares.
+    #[inline]
+    pub fn run_can_share(&self, stride: i64) -> bool {
+        self.ranges_enabled
+            || stride.unsigned_abs() < crate::addr::PAGE_SIZE
+            || self.tlb().huge_entries() > 0
     }
 
     /// Translate `va` for `asid`, charging all hardware costs.
@@ -443,9 +467,12 @@ impl Mmu {
     ///
     /// Returns `None` — charging nothing and mutating no simulated
     /// state — when the run cannot be proven uniform (TLB miss,
-    /// protection fault, tier boundary, entry boundary, or an
-    /// unobserved concurrent invalidation): the caller falls back to
-    /// the per-access interpreter for at least one access.
+    /// protection fault, tier boundary, entry boundary): the caller
+    /// falls back to the per-access interpreter for at least one
+    /// access. The caller owes the "no unobserved concurrent
+    /// invalidation" obligation: it calls
+    /// [`run_prover_ready`](Self::run_prover_ready) at the head of the
+    /// run and does not probe the first access if that refused.
     #[allow(clippy::too_many_arguments)] // mirrors `translate`
     pub fn translate_run(
         &mut self,
@@ -461,13 +488,7 @@ impl Mmu {
         if len < 2 {
             return None;
         }
-        // Obligation: no broadcast invalidation the current CPU has
-        // not observed may overlap the span. Refusing costs nothing —
-        // the interpreter is charge-identical — and the refusal syncs
-        // the CPU, so the next run fast-forwards again.
-        if !self.run_prover_ready() {
-            return None;
-        }
+        debug_assert!(self.synced(), "run head skipped `run_prover_ready`");
         // The prover translates for `asid` on this CPU exactly as the
         // interpreter would, so presence (and thus future responder
         // counts) must not depend on which execution mode ran.
@@ -541,8 +562,9 @@ impl Mmu {
     /// Proof obligations:
     ///
     /// * the current CPU has observed every broadcast invalidation
-    ///   ([`run_prover_ready`](Self::run_prover_ready); refusal syncs,
-    ///   so the next probe may pass);
+    ///   (the caller's head-of-run
+    ///   [`run_prover_ready`](Self::run_prover_ready), debug-asserted
+    ///   here);
     /// * range translations are **disabled** — a range entry could
     ///   satisfy an access the page tables know nothing about;
     /// * `|stride| ≥ PAGE_SIZE`, so successive accesses touch
@@ -572,9 +594,7 @@ impl Mmu {
         if len < 2 || stride.unsigned_abs() < PAGE_SIZE || self.ranges_enabled {
             return None;
         }
-        if !self.run_prover_ready() {
-            return None;
-        }
+        debug_assert!(self.synced(), "run head skipped `run_prover_ready`");
         let mut span = 0u64;
         let mut at = va.0;
         while span < len {
@@ -1142,20 +1162,20 @@ mod tests {
             .unwrap();
         mmu.translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
             .unwrap();
-        // Warm: the run fast-forwards on CPU 0.
+        // Warm: the run head passes and the run fast-forwards on CPU 0.
+        assert!(mmu.run_prover_ready());
         assert!(mmu
             .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
             .is_some());
         // CPU 1 invalidates a *different* page. CPU 0 has not observed
-        // the broadcast, so its next run must refuse once (falling
-        // back to the charge-identical interpreter)...
+        // the broadcast, so its next run head must refuse once (the
+        // caller interprets that run's first access)...
         mmu.set_cpu(CpuId(1));
         mmu.invalidate_page(&mut m, A, VirtAddr(0x20_0000));
         mmu.set_cpu(CpuId(0));
-        assert!(mmu
-            .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
-            .is_none());
+        assert!(!mmu.run_prover_ready());
         // ...and the refusal synced CPU 0, so the run proves again.
+        assert!(mmu.run_prover_ready());
         assert!(mmu
             .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
             .is_some());
@@ -1165,9 +1185,70 @@ mod tests {
         mmu.translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
             .unwrap();
         mmu.invalidate_page(&mut m, A, VirtAddr(0x30_0000));
+        assert!(mmu.run_prover_ready());
         assert!(mmu
             .translate_run(&mut m, &mut pt, root, A, va, 8, 10, Access::Read)
             .is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "run_prover_ready")]
+    fn prover_asserts_the_run_head_synced() {
+        let mut m = Machine::dram_only(64 << 20);
+        let mut pt = PageTables::new();
+        let root = pt.create_root(&mut m);
+        let mut mmu = Mmu::smp(false, 2, None, None);
+        mmu.set_cpu(CpuId(1));
+        mmu.invalidate_page(&mut m, A, VirtAddr(0x20_0000));
+        mmu.set_cpu(CpuId(0));
+        let _ = mmu.translate_run(
+            &mut m,
+            &mut pt,
+            root,
+            A,
+            VirtAddr(0x10_0000),
+            8,
+            10,
+            Access::Read,
+        );
+    }
+
+    #[test]
+    fn runs_share_translations_only_below_a_page_or_through_huge_entries() {
+        let mut m = Machine::dram_only(64 << 20);
+        let mut pt = PageTables::new();
+        let root = pt.create_root(&mut m);
+        let rt = RangeTable::new();
+        let mut mmu = Mmu::smp(false, 2, None, None);
+        let page = PAGE_SIZE as i64;
+        assert!(mmu.run_can_share(8) && mmu.run_can_share(-8) && mmu.run_can_share(0));
+        assert!(!mmu.run_can_share(page) && !mmu.run_can_share(-page));
+        // A resident 2 MiB entry lets page-apart accesses share it, on
+        // the CPU that holds it only.
+        let va = VirtAddr(0x20_0000);
+        pt.map(
+            &mut m,
+            root,
+            va,
+            FrameNo(512),
+            PageSize::Huge2M,
+            PteFlags::user_rw(),
+        )
+        .unwrap();
+        mmu.translate(&mut m, &mut pt, root, &rt, A, va, Access::Read)
+            .unwrap();
+        assert!(mmu.run_can_share(page));
+        assert!(mmu.run_prover_ready());
+        let (_, span) = mmu
+            .translate_run(&mut m, &mut pt, root, A, va, page, 600, Access::Read)
+            .unwrap();
+        assert_eq!(span, 512, "the span ends with the huge page");
+        mmu.set_cpu(CpuId(1));
+        assert!(!mmu.run_can_share(page));
+        // Range translation can cover many pages with one entry.
+        let ranged = Mmu::smp(true, 1, None, None);
+        assert!(ranged.run_can_share(page));
     }
 
     #[test]

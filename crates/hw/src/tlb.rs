@@ -101,7 +101,10 @@ impl Tlb {
             .flat_map(|(set, ways)| ways.iter().map(move |e| (set, e.asid, e.vpn, e.size)))
     }
 
-    /// The resident-huge-entry count the probes trust (test support).
+    /// The resident-huge-entry count the probes trust; zero also
+    /// tells the fast-forward engine that no two base-page-apart
+    /// accesses can share an entry ([`crate::Mmu::run_can_share`]).
+    #[inline]
     pub fn huge_entries(&self) -> usize {
         self.huge
     }

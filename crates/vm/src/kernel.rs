@@ -668,10 +668,17 @@ impl BaselineKernel {
         };
         proc.vmas.insert(vma);
         if flags.populate {
+            // Bulk populate needs base pages of anonymous memory on
+            // one tier; that is decided once for the whole region.
+            let bulk = self.machine.fastforward()
+                && self.thp == ThpMode::Never
+                && matches!(vma.backing, Backing::Anon)
+                && self.machine.phys.nvm_frames() == 0;
             let mut va = start;
             let end = start + len;
             while va < end {
-                if self.machine.fastforward() {
+                if bulk {
+                    self.machine.ffwd_probes += 1;
                     let left = (end.0 - va.0) / PAGE_SIZE;
                     if let Some(done) = self.try_populate_run(pid, va, left, vma) {
                         va += done * PAGE_SIZE;
@@ -976,8 +983,9 @@ impl BaselineKernel {
     /// anonymous pages at `va` in one fused pass, charging exactly
     /// what that many [`populate_page`](Self::populate_page) calls
     /// would have. Proof obligations — base pages only (no THP),
-    /// anonymous backing, every page provably absent from the page
-    /// tables ([`PageTables::absent_run`]), DRAM-only placement, and
+    /// anonymous backing and DRAM-only placement (checked once per
+    /// region by the caller), every page provably absent from the page
+    /// tables ([`PageTables::absent_run`]), and
     /// enough free frames that no allocation would have triggered
     /// reclaim or failed mid-run. Returns the fused page count
     /// (`≥ 2`), or `None` to fall back to the per-page interpreter —
@@ -987,12 +995,9 @@ impl BaselineKernel {
     /// the drive of the host-memory self-observation figures, whose
     /// peak-heap numbers must not depend on the fast-forward engine.
     fn try_populate_run(&mut self, pid: Pid, va: VirtAddr, pages: u64, vma: Vma) -> Option<u64> {
-        if pages < 2 || self.thp != ThpMode::Never || !matches!(vma.backing, Backing::Anon) {
-            return None;
-        }
-        // One tier keeps the zeroing charge uniform (true of every
-        // baseline machine; cheap to re-check).
-        if self.machine.phys.nvm_frames() != 0 {
+        debug_assert!(self.thp == ThpMode::Never && matches!(vma.backing, Backing::Anon));
+        debug_assert_eq!(self.machine.phys.nvm_frames(), 0);
+        if pages < 2 {
             return None;
         }
         // No allocation in the run may dip below the reclaim
@@ -1388,11 +1393,30 @@ impl BaselineKernel {
 
     /// Translate `va`, handling faults (demand paging, COW, swap-in).
     pub fn resolve(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<PhysAddr, VmError> {
-        for _ in 0..4 {
-            let (root, asid) = {
-                let p = self.proc(pid)?;
-                (p.root, p.asid)
-            };
+        let (root, asid) = self.root_asid(pid)?;
+        self.resolve_in(pid, root, asid, va, access)
+            .map(|(pa, _)| pa)
+    }
+
+    /// The translation root and ASID of `pid`: fixed for the process's
+    /// lifetime, so a caller may look them up once for many accesses.
+    fn root_asid(&self, pid: Pid) -> Result<(PtNodeId, Asid), VmError> {
+        let p = self.proc(pid)?;
+        Ok((p.root, p.asid))
+    }
+
+    /// [`resolve`](Self::resolve) through `pid`'s `root` and `asid`,
+    /// already looked up by the caller. Also reports whether a fault
+    /// was taken on the way.
+    fn resolve_in(
+        &mut self,
+        pid: Pid,
+        root: PtNodeId,
+        asid: Asid,
+        va: VirtAddr,
+        access: Access,
+    ) -> Result<(PhysAddr, bool), VmError> {
+        for attempt in 0..4 {
             match self.mmu.translate(
                 &mut self.machine,
                 &mut self.pt,
@@ -1402,7 +1426,7 @@ impl BaselineKernel {
                 va,
                 access,
             ) {
-                Ok(t) => return Ok(t.pa),
+                Ok(t) => return Ok((t.pa, attempt > 0)),
                 Err(TranslateError::NotMapped) => self.page_fault(pid, va, access)?,
                 Err(TranslateError::Protection) => self.protection_fault(pid, va, access)?,
             }
@@ -1441,24 +1465,48 @@ impl BaselineKernel {
 
     /// User-level 8-byte load.
     pub fn load(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, VmError> {
-        let op = self.access_op_start();
-        let pa = self.resolve(pid, va, Access::Read)?;
-        let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_load(tier);
-        let out = self.machine.phys.read_u64(pa);
-        self.access_op_end(op);
-        Ok(out)
+        let (root, asid) = self.root_asid(pid)?;
+        self.access_in(pid, root, asid, va, None).map(|(v, _)| v)
     }
 
     /// User-level 8-byte store.
     pub fn store(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), VmError> {
+        let (root, asid) = self.root_asid(pid)?;
+        self.access_in(pid, root, asid, va, Some(value)).map(|_| ())
+    }
+
+    /// One interpreted access through `pid`'s `root` and `asid`: a
+    /// store of `value` when given, else a load. Returns the loaded
+    /// word (0 for a store) and whether the access faulted.
+    fn access_in(
+        &mut self,
+        pid: Pid,
+        root: PtNodeId,
+        asid: Asid,
+        va: VirtAddr,
+        value: Option<u64>,
+    ) -> Result<(u64, bool), VmError> {
         let op = self.access_op_start();
-        let pa = self.resolve(pid, va, Access::Write)?;
+        let access = if value.is_some() {
+            Access::Write
+        } else {
+            Access::Read
+        };
+        let (pa, faulted) = self.resolve_in(pid, root, asid, va, access)?;
         let tier = self.machine.phys.tier(pa.frame());
-        self.machine.charge_store(tier);
-        self.machine.phys.write_u64(pa, value);
+        let out = match value {
+            Some(v) => {
+                self.machine.charge_store(tier);
+                self.machine.phys.write_u64(pa, v);
+                0
+            }
+            None => {
+                self.machine.charge_load(tier);
+                self.machine.phys.read_u64(pa)
+            }
+        };
         self.access_op_end(op);
-        Ok(())
+        Ok((out, faulted))
     }
 
     /// Run-compressed span execution: `len` accesses at `va`,
@@ -1469,9 +1517,24 @@ impl BaselineKernel {
     /// ([`Mmu::translate_run`]), the whole prefix is charged in O(1)
     /// charge calls, and only data stores run per element. Anything it
     /// cannot prove (cold TLB, faults, boundaries) is interpreted one
-    /// access at a time through [`load`](Self::load) /
-    /// [`store`](Self::store), so simulated clock, counters, ledger
-    /// and memory contents are identical to the plain loop.
+    /// access at a time, exactly as [`load`](Self::load) /
+    /// [`store`](Self::store) would, so simulated clock, counters,
+    /// ledger and memory contents are identical to the plain loop.
+    ///
+    /// Eligibility is decided per run, not per access, so a run no
+    /// prover can accept costs no probes:
+    ///
+    /// * the head of the run syncs the CPU with every broadcast
+    ///   invalidation ([`Mmu::run_prover_ready`]); an unsynced head
+    ///   interprets its first access rather than hit-probing it;
+    /// * the hit probe runs only while [`Mmu::run_can_share`] says
+    ///   two accesses of the run could share a translation;
+    /// * the bulk fault ([`try_fault_run`](Self::try_fault_run)) is
+    ///   tried at the head of the run if the run can fault in bulk at
+    ///   all (base pages, one tier, page stride), and after that only
+    ///   right after an access faulted — a resident page says nothing
+    ///   about the next one, but a fault or fused fault run often
+    ///   borders more absent pages.
     pub fn access_span(
         &mut self,
         pid: Pid,
@@ -1481,59 +1544,89 @@ impl BaselineKernel {
         write: bool,
         first_value: u64,
     ) -> Result<(), VmError> {
+        if len == 0 {
+            return Ok(());
+        }
         let access = if write { Access::Write } else { Access::Read };
+        let (root, asid) = self.root_asid(pid)?;
+        let ff = self.machine.fastforward() && len >= 2;
+        let synced = ff && self.mmu.run_prover_ready();
+        let fault_runs = ff && self.fault_runs_possible(stride);
+        let mut fault_armed = fault_runs;
         let mut k = 0u64;
         while k < len {
             let a = VirtAddr(va.0.wrapping_add_signed(stride.wrapping_mul(k as i64)));
-            if self.machine.fastforward() && len - k >= 2 {
-                let (root, asid) = {
-                    let p = self.proc(pid)?;
-                    (p.root, p.asid)
-                };
-                let t0 = self.machine.op_start();
-                if let Some((pa, span)) = self.mmu.translate_run(
-                    &mut self.machine,
-                    &mut self.pt,
-                    root,
-                    asid,
-                    a,
-                    stride,
-                    len - k,
-                    access,
-                ) {
-                    crate::runs::bulk_memory(
+            if ff && len - k >= 2 {
+                if (k > 0 || synced) && self.mmu.run_can_share(stride) {
+                    self.machine.ffwd_probes += 1;
+                    let t0 = self.machine.op_start();
+                    if let Some((pa, span)) = self.mmu.translate_run(
                         &mut self.machine,
-                        pa,
+                        &mut self.pt,
+                        root,
+                        asid,
+                        a,
                         stride,
-                        span,
-                        write,
-                        first_value + k,
-                    );
-                    // Every access in the span hit — `span` AccessHit
-                    // latencies, each of the identical per-access cost.
-                    self.machine.op_end_n(t0, OpKind::AccessHit, MECH, span);
-                    self.poll_timeline();
-                    k += span;
-                    continue;
+                        len - k,
+                        access,
+                    ) {
+                        crate::runs::bulk_memory(
+                            &mut self.machine,
+                            pa,
+                            stride,
+                            span,
+                            write,
+                            first_value + k,
+                        );
+                        // Every access in the span hit — `span` AccessHit
+                        // latencies, each of the identical per-access cost.
+                        self.machine.op_end_n(t0, OpKind::AccessHit, MECH, span);
+                        self.poll_timeline();
+                        k += span;
+                        continue;
+                    }
                 }
                 // The dual case: prove the accesses all *miss* and
                 // demand-fault fresh pages, then install the mappings
-                // and charge the faults analytically.
-                if let Some(span) =
-                    self.try_fault_run(pid, root, asid, a, stride, len - k, write, first_value + k, t0)
-                {
-                    k += span;
-                    continue;
+                // and charge the faults analytically. A fused run may
+                // end at a VMA boundary with absent pages beyond it, so
+                // the next access stays armed.
+                if fault_armed {
+                    self.machine.ffwd_probes += 1;
+                    let t0 = self.machine.op_start();
+                    if let Some(span) = self.try_fault_run(
+                        pid,
+                        root,
+                        asid,
+                        a,
+                        stride,
+                        len - k,
+                        write,
+                        first_value + k,
+                        t0,
+                    ) {
+                        k += span;
+                        continue;
+                    }
                 }
             }
-            if write {
-                self.store(pid, a, first_value + k)?;
-            } else {
-                self.load(pid, a)?;
-            }
+            let value = write.then_some(first_value + k);
+            let (_, faulted) = self.access_in(pid, root, asid, a, value)?;
+            fault_armed = fault_runs && faulted;
             k += 1;
         }
         Ok(())
+    }
+
+    /// The per-run half of [`try_fault_run`](Self::try_fault_run)'s
+    /// obligations: plain demand paging (no THP, no fault-around), one
+    /// memory tier, and a stride of at least a page so every access
+    /// faults its own page (the MMU re-checks the stride).
+    fn fault_runs_possible(&self, stride: i64) -> bool {
+        self.thp == ThpMode::Never
+            && self.fault_around == 1
+            && self.machine.phys.nvm_frames() == 0
+            && stride.unsigned_abs() >= PAGE_SIZE
     }
 
     /// Bulk-fault fast-forward — the dual of [`Mmu::translate_run`]'s
@@ -1547,8 +1640,12 @@ impl BaselineKernel {
     /// Proof obligations, checked before anything is charged or
     /// mutated:
     ///
-    /// * plain demand paging — no THP, no fault-around;
-    /// * one memory tier (every baseline machine is DRAM-only);
+    /// * plain demand paging — no THP, no fault-around — and one
+    ///   memory tier (every baseline machine is DRAM-only), checked
+    ///   once per run by the caller
+    ///   ([`fault_runs_possible`](Self::fault_runs_possible));
+    /// * the first page is absent from the page tables — the cheapest
+    ///   refusal, tested before the process and VMA lookups;
     /// * the faulting process has no pages in swap (a swap slot would
     ///   turn a minor fault into a major one mid-run);
     /// * one protection-uniform anonymous VMA covers the whole fused
@@ -1581,10 +1678,8 @@ impl BaselineKernel {
         first_value: u64,
         t0: o1_hw::SimNs,
     ) -> Option<u64> {
-        if self.thp != ThpMode::Never || self.fault_around != 1 {
-            return None;
-        }
-        if self.machine.phys.nvm_frames() != 0 {
+        debug_assert!(self.fault_runs_possible(stride));
+        if self.pt.leaf_slot(root, va).is_some() {
             return None;
         }
         let (vma_start, vma_end, prot) = {
@@ -1916,6 +2011,31 @@ mod tests {
         let again = k.create_process().unwrap();
         assert!(again > first, "pids stay monotonic across recycling");
         assert_eq!(k.create_process(), Err(VmError::ProcessLimit));
+    }
+
+    #[test]
+    fn resident_page_stride_run_probes_at_most_once() {
+        let mut k = kernel();
+        let pid = k.create_process().unwrap();
+        let pages = 512u64;
+        let va = k
+            .mmap(
+                pid,
+                pages * PAGE_SIZE,
+                Prot::ReadWrite,
+                Backing::Anon,
+                MapFlags::private_populate(),
+            )
+            .unwrap();
+        let (probes, runs) = (k.machine().ffwd_probes, k.machine().ffwd_runs);
+        k.access_span(pid, va, PAGE_SIZE as i64, pages, false, 0)
+            .unwrap();
+        assert!(
+            k.machine().ffwd_probes - probes <= 1,
+            "no prover can fuse resident base pages a page apart"
+        );
+        assert_eq!(k.machine().ffwd_runs, runs);
+        assert_eq!(k.machine().perf.minor_faults, 0);
     }
 
     #[test]

@@ -515,3 +515,125 @@ fn reclaim_and_swap_counters_mirror_the_ledger_under_pressure() {
         }
     }
 }
+
+/// One `access_span` call: how many of its accesses were fast-forwarded
+/// and how many prover attempts it made.
+fn fused_and_probes(
+    sys: &mut dyn MemSys,
+    pid: o1mem::vm::Pid,
+    va: o1mem::hw::VirtAddr,
+    stride: i64,
+    len: u64,
+    write: bool,
+) -> (u64, u64) {
+    let m = sys.machine();
+    let (fused, probes) = (m.ffwd_accesses, m.ffwd_probes);
+    sys.access_span(pid, va, stride, len, write, 9).unwrap();
+    let m = sys.machine();
+    (m.ffwd_accesses - fused, m.ffwd_probes - probes)
+}
+
+const PAGE: i64 = PAGE_SIZE as i64;
+
+/// A munmap on CPU 0 leaves CPU 1 one invalidation behind. A fresh
+/// region first touched on CPU 1 by one page-stride run must still
+/// fault in bulk from its first page: the head of the run syncs the
+/// CPU before the bulk-fault prover looks.
+#[test]
+fn fresh_region_after_a_remote_munmap_faults_in_bulk() {
+    let mk = || {
+        Box::new(
+            BaselineKernel::builder()
+                .dram(256 << 20)
+                .cpus(2)
+                .obs(ObsMode::On)
+                .build(),
+        ) as Box<dyn MemSys>
+    };
+    assert_equivalent(mk(), mk(), "baseline remote munmap", &|sys| {
+        let pid = sys.create_process().unwrap();
+        let pages = 64u64;
+        let old = sys.alloc(pid, pages * PAGE_SIZE, true).unwrap();
+        for cpu in [1, 0] {
+            sys.set_cpu(CpuId(cpu));
+            sys.access_span(pid, old, PAGE, pages, false, 0).unwrap();
+        }
+        sys.release(pid, old, pages * PAGE_SIZE).unwrap();
+        sys.set_cpu(CpuId(1));
+        let fresh = sys.alloc(pid, pages * PAGE_SIZE, false).unwrap();
+        let (fused, _) = fused_and_probes(sys, pid, fresh, PAGE, pages, true);
+        if sys.machine().fastforward() {
+            assert_eq!(fused, pages, "the whole run faults in bulk");
+        }
+        sys.set_cpu(CpuId(0));
+        sys.destroy_process(pid).unwrap();
+    });
+}
+
+/// Mapped, then absent, then mapped: a resident page does not re-arm
+/// the bulk-fault prover, the first absent page is interpreted, and
+/// bulk faulting resumes right after that fault.
+#[test]
+fn bulk_fault_resumes_after_an_interpreted_fault() {
+    for write in [false, true] {
+        let (a, b) = baseline_pair(ThpMode::Never);
+        let what = format!("baseline partly populated write={write}");
+        assert_equivalent(a, b, &what, &move |sys| {
+            let pid = sys.create_process().unwrap();
+            let va = sys.alloc(pid, 96 * PAGE_SIZE, false).unwrap();
+            sys.access_span(pid, va, PAGE, 32, true, 1).unwrap();
+            sys.access_span(pid, va + 64 * PAGE_SIZE, PAGE, 32, true, 1)
+                .unwrap();
+            let (fused, probes) = fused_and_probes(sys, pid, va, PAGE, 96, write);
+            if sys.machine().fastforward() {
+                assert_eq!(fused, 31, "pages 33..64 fused after page 32 faulted");
+                assert_eq!(probes, 3, "run head, after the fault, after the fused run");
+            }
+            sys.destroy_process(pid).unwrap();
+        });
+    }
+}
+
+/// THP: each huge page's first access is an interpreted fault, and
+/// the rest of a page-stride run hits the huge TLB entry it filled.
+#[test]
+fn thp_page_stride_runs_fast_forward_through_huge_entries() {
+    let (a, b) = baseline_pair(ThpMode::Aligned2M);
+    assert_equivalent(a, b, "baseline-thp page stride", &|sys| {
+        let pid = sys.create_process().unwrap();
+        let pages = 1024u64;
+        let va = sys.alloc(pid, pages * PAGE_SIZE, false).unwrap();
+        let cold = fused_and_probes(sys, pid, va, PAGE, pages, true).0;
+        let warm = fused_and_probes(sys, pid, va, PAGE, pages, false).0;
+        if sys.machine().fastforward() {
+            assert_eq!(cold, pages - 2, "one interpreted fault per huge page");
+            assert_eq!(warm, pages, "both huge entries resident");
+        }
+        sys.destroy_process(pid).unwrap();
+    });
+}
+
+/// Page-stride runs on file-only memory: one range entry covers the
+/// whole region on fom-ranges, and fom-pt maps its 2 MiB-aligned
+/// extents with huge leaves. Either way only a cold entry's first
+/// access is interpreted.
+#[test]
+fn fom_page_stride_runs_fast_forward() {
+    for (mech, entries) in [(MapMech::Ranges, 1), (MapMech::PageTables, 2)] {
+        let (a, b) = fom_pair(mech);
+        let what = format!("fom-{mech:?} page stride");
+        assert_equivalent(a, b, &what, &move |sys| {
+            let pid = sys.create_process().unwrap();
+            let pages = 1024u64;
+            let va = sys.alloc(pid, pages * PAGE_SIZE, false).unwrap();
+            let cold = fused_and_probes(sys, pid, va, PAGE, pages, true).0;
+            let last = va + (pages - 1) * PAGE_SIZE;
+            let warm = fused_and_probes(sys, pid, last, -PAGE, pages, false).0;
+            if sys.machine().fastforward() {
+                assert_eq!(cold, pages - entries, "one walk per translation entry");
+                assert_eq!(warm, pages, "every entry resident");
+            }
+            sys.destroy_process(pid).unwrap();
+        });
+    }
+}
